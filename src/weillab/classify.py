@@ -152,8 +152,11 @@ def classify(f: WeilQuartic) -> ClassKind:
     match can only be (t^2-2)^2 or (t^2-3)^2.  Either guarantee failing
     raises InternalInvariantError.
     """
-    in_a = matches_family_a(f)
-    b_case = family_b_case(f)
+    return _classify_matched(f, matches_family_a(f), family_b_case(f))
+
+
+def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKind:
+    # classify, given the outcomes of the family A and family B conditions
     if in_a and b_case is not None:
         raise InternalInvariantError(f"conditions (a) and (b) both match {f}")
     if not in_a and b_case is None:
@@ -178,22 +181,24 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     """
     if prime_power_decomposition(q) is None:
         raise NotPrimePower(f"q={q} is not a prime power")
-    candidates: set[tuple[int, int]] = set()
+    # candidate (a, b) -> whether it meets the family A condition; every
+    # (a, b) with a^2 - b = q and b < 0 is trial-divided in the first loop
+    candidates: dict[tuple[int, int], bool] = {}
     a_max = isqrt_floor(q - 1)
     for a in range(-a_max, a_max + 1):
         b = a * a - q
         if prime_divisors_all_1_mod_3(-b):
-            candidates.add((a, b))
+            candidates[(a, b)] = True
     for b in (1 - 2 * q, 2 - 2 * q, -q):
-        candidates.add((0, b))
+        candidates.setdefault((0, b), False)
     if q == 2:
-        candidates.add((0, -4))
+        candidates.setdefault((0, -4), False)
     if q == 3:
-        candidates.add((0, -6))
+        candidates.setdefault((0, -6), False)
     members = []
-    for a, b in candidates:
+    for (a, b), in_a in candidates.items():
         f = make_weil_quartic(q, a, b)
-        kind = classify(f)
+        kind = _classify_matched(f, in_a, family_b_case(f))
         if kind.family is not Family.OUTSIDE:
             members.append((f, kind))
     members.sort(key=lambda pair: (pair[0].a, pair[0].b))

@@ -117,6 +117,14 @@ def _check_q(q: int, bound: int) -> None:
         raise ValueError(f"q={q} exceeds the safe bound {bound}")
 
 
+def _check_label_q(label: str, bound: int) -> None:
+    # guard q before parse_label factorises it; other malformed text is left to the parser
+    head, _, rest = label.partition(".")
+    q_text = rest.partition(".")[0]
+    if head == "2" and q_text.isascii() and q_text.isdigit():
+        _check_q(int(q_text), bound)
+
+
 def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     bound = _resolve_bound(args)
     by_coeffs = args.q is not None or args.a is not None or args.b is not None
@@ -124,9 +132,7 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     if by_coeffs == by_label:
         raise ValueError("provide either --q/--a/--b or --label")
     if by_label:
-        head, _, q_text = args.label.partition(".")
-        if head == "2" and q_text.partition(".")[0].isdigit():
-            _check_q(int(q_text.partition(".")[0]), bound)
+        _check_label_q(args.label, bound)
         f = parse_label(args.label)
     else:
         if args.q is None or args.a is None or args.b is None:
@@ -137,10 +143,6 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     record = build_record(f)
     out.write(to_json_line(record) + "\n")
     return 0
-
-
-def _record_sort_key(record: ClassRecord) -> tuple[int, int, int]:
-    return (record.q, record.a, record.b)
 
 
 def prime_powers_in_range(lo: int, hi: int) -> list[int]:
@@ -199,7 +201,8 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     else:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             per_q = list(pool.map(records_for_q, qs))
-    records = [record for chunk in per_q for record in sorted(chunk, key=_record_sort_key)]
+    # records_for_q yields (a, b) order and both paths keep q order
+    records = [record for chunk in per_q for record in chunk]
     if args.only_no_genus3:
         records = [record for record in records if record.genus3_exists is False]
 
@@ -272,10 +275,7 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
         _check_q(q, bound)
         out.write(str(render_label(make_weil_quartic(q, a, b))) + "\n")
         return 0
-    head, _, rest = args.decode.partition(".")
-    q_text = rest.partition(".")[0]
-    if head == "2" and q_text.isdigit():
-        _check_q(int(q_text), bound)
+    _check_label_q(args.decode, bound)
     f = parse_label(args.decode)
     out.write(f"q={f.q} a={f.a} b={f.b}\n")
     return 0

@@ -471,6 +471,10 @@ def render_label(f: WeilQuartic) -> Label:
 def parse_label(text: str) -> WeilQuartic:
     """Inverse of render_label; raises MalformedLabel on structural errors.
 
+    Only the canonical text is accepted, so render_label(parse_label(s))
+    == s whenever parsing succeeds: q is ASCII decimal with no leading
+    zero, and each coefficient code has no leading zero digit.
+
     Validity errors of the decoded coefficients propagate as
     NotPrimePower and NotWeil.
     """
@@ -480,8 +484,10 @@ def parse_label(text: str) -> WeilQuartic:
     dim, q_text, coeffs = parts
     if dim != "2":
         raise MalformedLabel(f"label {text!r} is not two-dimensional")
-    if not q_text.isdigit():
-        raise MalformedLabel(f"label {text!r} has a non-numeric field size")
+    if not (q_text.isascii() and q_text.isdigit()):
+        raise MalformedLabel(f"label {text!r} has a field size that is not ASCII decimal digits")
+    if len(q_text) > 1 and q_text[0] == "0":
+        raise MalformedLabel(f"label {text!r} has a field size with a leading zero")
     codes = coeffs.split("_")
     if len(codes) != 2:
         raise MalformedLabel(f"label {text!r} does not carry exactly two coefficients")

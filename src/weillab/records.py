@@ -87,13 +87,29 @@ def _constraints_str(f: WeilQuartic, kind: ClassKind) -> str:
 
 
 def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
-    """Full record for one class; kind is classified when not supplied."""
+    """Full record for one class; kind is classified when not supplied.
+
+    Each derived quantity is computed once.  For family A and B members
+    :func:`two_adic_data` factorises the discriminant of f+, and its
+    (c, d) and splitting of 2 in K+ feed the record and the genus-3
+    verdict.  The irreducible column is read from ``kind``, which
+    classify settled: family members are irreducible, the two specials
+    are not, and only an Outside class is tested here.
+    """
     if kind is None:
         kind = classify(f)
     delta = fplus_discriminant(f)
+    data = None
     c = d = None
-    if delta != 0:
+    if kind.is_irreducible_family:
+        data = two_adic_data(f, kind)
+        c, d = data.c, data.d
+    elif delta != 0:
         c, d = squarefree_part(delta)
+    if kind.family is Family.OUTSIDE:
+        irreducible = is_irreducible_over_Q(f)
+    else:
+        irreducible = kind.is_irreducible_family
     record = {
         "q": f.q,
         "p": f.p,
@@ -104,7 +120,7 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
         "class_kind": kind.family.value,
         "b_case": kind.b_case,
         "ordinary": None,
-        "irreducible": is_irreducible_over_Q(f),
+        "irreducible": irreducible,
         "fplus_disc": delta,
         "c": c,
         "d": d,
@@ -121,7 +137,7 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     if kind.family is Family.OUTSIDE:
         notes.append(f"reason={kind.reason}")
     else:
-        verdict = genus3_verdict(f, kind)
+        verdict = genus3_verdict(f, kind, data.split2_Kplus if data is not None else None)
         record["genus3_exists"] = verdict.genus3_curve_exists
         record["rule"] = verdict.rule
         record["deg4_polarisation"] = verdict.deg4_polarisation_exists
@@ -130,8 +146,7 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
             notes.append(f"witness={verdict.witness}")
         if verdict.note:
             notes.append(verdict.note)
-        if kind.is_irreducible_family:
-            data = two_adic_data(f, kind)
+        if data is not None:
             record["ordinary"] = p_rank_class(f, kind) is PRankClass.ORDINARY
             record["split2_Kplus"] = data.split2_Kplus.value
             record["K_over_Kplus_ramified"] = data.K_over_Kplus_ramified

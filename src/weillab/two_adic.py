@@ -81,23 +81,36 @@ def fplus_discriminant(f: WeilQuartic) -> int:
     return f.a * f.a - 4 * (f.b - 2 * f.q)
 
 
+def _squarefree_discriminant(f: WeilQuartic) -> tuple[int, int, int]:
+    """(delta, c, d) with delta = c^2 * d the discriminant of f+, d squarefree.
+
+    Raises DegenerateDiscriminant unless delta > 0 and d != 1.
+    """
+    delta = fplus_discriminant(f)
+    if delta <= 0:
+        raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
+    c, d = squarefree_part(delta)
+    if d == 1:
+        raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
+    return delta, c, d
+
+
+def _split2_from_d(d: int) -> Split2:
+    if d % 8 == 5:
+        return Split2.INERT
+    if d % 8 == 1:
+        return Split2.SPLIT
+    return Split2.RAMIFIED
+
+
 def splitting_2_in_Kplus(f: WeilQuartic) -> Split2:
     """Splitting symbol of 2 in K+ from the squarefree part of the discriminant.
 
     Expects an irreducible member; d = 1 would mean f+ (hence f) is
     reducible and signals an upstream classification bug.
     """
-    delta = fplus_discriminant(f)
-    if delta <= 0:
-        raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
-    _, d = squarefree_part(delta)
-    if d == 1:
-        raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
-    if d % 8 == 5:
-        return Split2.INERT
-    if d % 8 == 1:
-        return Split2.SPLIT
-    return Split2.RAMIFIED
+    _, _, d = _squarefree_discriminant(f)
+    return _split2_from_d(d)
 
 
 def is_K_over_Kplus_ramified(f: WeilQuartic, kind: ClassKind) -> bool:
@@ -113,7 +126,7 @@ def is_K_over_Kplus_ramified(f: WeilQuartic, kind: ClassKind) -> bool:
     return f.b == 2 - 2 * f.q and f.q % 2 == 1
 
 
-def shape_2_in_K(f: WeilQuartic, kind: ClassKind) -> Shape2:
+def shape_2_in_K(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) -> Shape2:
     """Factorisation shape of 2 in K.
 
     Family A (2 unramified in K/K+): the splitting of 2 in K+ decides
@@ -126,11 +139,14 @@ def shape_2_in_K(f: WeilQuartic, kind: ClassKind) -> Shape2:
     exactly for the ordinary classes with q even; in every other case
     (ordinary b = 1-2q with q odd, and all supersingular classes) m is
     inert in K.
+
+    ``split2`` is the splitting of 2 in K+ when the caller already has
+    it; family A otherwise derives it with :func:`splitting_2_in_Kplus`.
     """
     if not kind.is_irreducible_family:
         raise WrongKind(f"shape_2_in_K needs a family A or B member, got {kind.family.value}")
     if kind.family is Family.PIRR_A:
-        symbol = splitting_2_in_Kplus(f)
+        symbol = split2 if split2 is not None else splitting_2_in_Kplus(f)
         if symbol is Split2.INERT:
             return Shape2(((1, 2, 2),), ConjugationTag.CONJUGATE_PAIR)
         if symbol is Split2.SPLIT:
@@ -145,15 +161,20 @@ def shape_2_in_K(f: WeilQuartic, kind: ClassKind) -> Shape2:
 
 
 def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
-    """Bundle of the 2-adic invariants of an irreducible family member."""
-    delta = fplus_discriminant(f)
-    c, d = squarefree_part(delta)
+    """Bundle of the 2-adic invariants of an irreducible family member.
+
+    The discriminant of f+ is factorised once; its squarefree part d
+    gives the splitting of 2 in K+, which is handed on to
+    :func:`shape_2_in_K` rather than derived again.
+    """
+    delta, c, d = _squarefree_discriminant(f)
+    split2 = _split2_from_d(d)
     return TwoAdicData(
         fplus_coeffs=f.fplus_coefficients(),
         delta=delta,
         c=c,
         d=d,
-        split2_Kplus=splitting_2_in_Kplus(f),
+        split2_Kplus=split2,
         K_over_Kplus_ramified=is_K_over_Kplus_ramified(f, kind),
-        shape2_K=shape_2_in_K(f, kind),
+        shape2_K=shape_2_in_K(f, kind, split2),
     )

@@ -98,19 +98,28 @@ def _require_family_member(kind: ClassKind, operation: str) -> None:
         raise WrongKind(f"{operation} is not defined for Outside classes")
 
 
-def degree4_polarisation_exists(f: WeilQuartic, kind: ClassKind) -> bool:
-    """Does some surface in the class admit a polarisation of degree 4?"""
+def degree4_polarisation_exists(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) -> bool:
+    """Does some surface in the class admit a polarisation of degree 4?
+
+    ``split2`` is the splitting of 2 in K+ when the caller already has
+    it; family A otherwise derives it with :func:`splitting_2_in_Kplus`.
+    """
     if not kind.is_irreducible_family:
         raise WrongKind(f"degree4_polarisation_exists needs a family A or B member, got {kind.family.value}")
     if kind.family is Family.PIRR_A:
-        return splitting_2_in_Kplus(f) is not Split2.INERT
+        symbol = split2 if split2 is not None else splitting_2_in_Kplus(f)
+        return symbol is not Split2.INERT
     if p_rank_class(f, kind) is PRankClass.ORDINARY:
         return not (f.b == 1 - 2 * f.q and f.q % 2 == 1)
     return f.q % 2 == 1
 
 
-def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:
-    """Class-level genus-3 verdict with rule provenance."""
+def genus3_verdict(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) -> Genus3Verdict:
+    """Class-level genus-3 verdict with rule provenance.
+
+    ``split2``, the splitting of 2 in K+ if the caller already has it,
+    is passed on to :func:`degree4_polarisation_exists`.
+    """
     _require_family_member(kind, "genus3_verdict")
     if kind.family is Family.SPECIAL_Q2:
         return Genus3Verdict(
@@ -130,7 +139,7 @@ def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:
             note=_SPECIAL_NOTE,
         )
     ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
-    exists = degree4_polarisation_exists(f, kind)
+    exists = degree4_polarisation_exists(f, kind, split2)
     if kind.family is Family.PIRR_A:
         rule = RULE_A_NONINERT if exists else RULE_A_INERT
     else:
@@ -149,8 +158,12 @@ def no_small_genus_certificate(f: WeilQuartic, kind: ClassKind) -> NoSmallGenusC
     if kind.family is Family.PIRR_A:
         divisors = tuple(sorted(factorize(-f.b))) if f.b < -1 else ()
         return NoSmallGenusCertificate(clause="a", b_prime_divisors=divisors)
-    pattern = kind.b_case if kind.b_case is not None else family_b_case(f)
-    return NoSmallGenusCertificate(clause="b", b_pattern=pattern)
+    return NoSmallGenusCertificate(clause="b", b_pattern=_b_pattern(f, kind))
+
+
+def _b_pattern(f: WeilQuartic, kind: ClassKind) -> str | None:
+    # the specials carry no b_case of their own; their pattern is matched afresh
+    return kind.b_case if kind.b_case is not None else family_b_case(f)
 
 
 def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> CurveConstraints:
@@ -159,10 +172,12 @@ def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> CurveConstraints
     In odd characteristic any such curve is a non-hyperelliptic
     bielliptic plane quartic y^4 - h(x,z)y^2 + r(x,z) = 0 and its
     Jacobian is isogenous to a product E x A with E elliptic.
+
+    The certifying clause is read from ``kind``; the prime divisors of b
+    that :func:`no_small_genus_certificate` lists are not computed.
     """
     _require_family_member(kind, "curve_shape_constraints")
-    certificate = no_small_genus_certificate(f, kind)
-    clause = "a" if certificate.clause == "a" else f"b:{certificate.b_pattern}"
+    clause = "a" if kind.family is Family.PIRR_A else f"b:{_b_pattern(f, kind)}"
     odd = f.p > 2
     asserted = True if odd else None
     return CurveConstraints(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import filecmp
 import functools
+import hashlib
 import time
 from math import gcd
 
@@ -228,6 +229,9 @@ def test_criterion_7_performance_and_determinism(tmp_path):
     elapsed = time.monotonic() - started
     assert code == 0
     assert elapsed < 60.0, f"enumeration took {elapsed:.1f}s"
+    # the pinned output bytes of the q <= 10^4 run (ROADMAP aim 2)
+    digest = hashlib.sha256(single.read_bytes()).hexdigest()
+    assert digest == "ed97c4a8acaf9fc574d21d841ac17490c07c907e9d46d6aeacb02d0046c54cf3"
     code = cli_main(
         [
             "enumerate", "--q-min", "2", "--q-max", "10000", "--format", "csv",

@@ -216,6 +216,21 @@ def test_label_decode_malformed(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["classify --label", "label --decode"])
+@pytest.mark.parametrize("label", ["2.007.a_ab", "2.\u0663.a_ab", "2.\u00b2.a_ab"])
+def test_non_canonical_label_exits_1(capsys, command, label):
+    code, _, err = run_cli(capsys, *command.split(), label)
+    assert code == 1
+    assert "field size" in err
+
+
+@pytest.mark.parametrize("command", ["classify --label", "label --decode"])
+def test_label_safe_bound(capsys, command):
+    code, _, err = run_cli(capsys, *command.split(), "2.101.a_ahb", "--safe-bound", "100")
+    assert code == 1
+    assert "safe bound" in err
+
+
 def test_label_bad_encode_argument(capsys):
     code, _, _ = run_cli(capsys, "label", "--encode", "2,0")
     assert code == 1

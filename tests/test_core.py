@@ -263,6 +263,18 @@ def test_label_round_trips_on_enumerated_classes():
             assert parse_label(str(render_label(f))) == f
 
 
+@pytest.mark.parametrize("text", ["2.007.a_ab", "2.\u0663.a_ab", "2.\u00b2.a_ab", "2.+7.a_ab", "2. 7.a_ab"])
+def test_parse_label_rejects_non_canonical_field_size(text):
+    # leading zeros, non-ASCII digits and signs would make two texts name one class
+    with pytest.raises(MalformedLabel):
+        parse_label(text)
+
+
+@pytest.mark.parametrize("text", ["2.2.a_ab", "2.13.a_al", "2.997.be_aby", "2.8.b_ah", "2.1024.abe_aeu"])
+def test_render_label_inverts_parse_label(text):
+    assert str(render_label(parse_label(text))) == text
+
+
 def test_label_is_value_object():
     f = make_weil_quartic(2, 0, -1)
     assert render_label(f) == render_label(WeilQuartic(2, 2, 1, 0, -1))

@@ -1,0 +1,99 @@
+"""build_record derives each per-class quantity once and passes it on.
+
+The record's fields must equal what the single-function public calls
+give on their own, and one record of a family A or B member must make
+exactly one squarefree decomposition and at most one irreducibility
+test.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+from weillab import (
+    build_record,
+    enumerate_classes,
+    fplus_discriminant,
+    genus3_verdict,
+    is_irreducible_over_Q,
+    make_weil_quartic,
+    shape_2_in_K,
+    splitting_2_in_Kplus,
+    squarefree_part,
+)
+from weillab.classify import Family, classify
+
+from oracles import prime_powers_up_to
+
+
+def test_record_fields_equal_single_function_path():
+    checked = 0
+    for f, kind in (member for q in prime_powers_up_to(512) for member in enumerate_classes(q)):
+        record = build_record(f, kind)
+        delta = fplus_discriminant(f)
+        assert record.fplus_disc == delta
+        assert (record.c, record.d) == squarefree_part(delta)
+        assert record.irreducible == is_irreducible_over_Q(f)
+        verdict = genus3_verdict(f, kind)
+        assert record.genus3_exists == verdict.genus3_curve_exists
+        assert record.deg4_polarisation == verdict.deg4_polarisation_exists
+        assert record.rule == verdict.rule
+        if kind.is_irreducible_family:
+            assert record.split2_Kplus == splitting_2_in_Kplus(f).value
+            assert record.shape2_K == str(shape_2_in_K(f, kind))
+        else:
+            assert record.split2_Kplus is None and record.shape2_K is None
+        assert build_record(f) == record
+        checked += 1
+    assert checked == 798  # members with q <= 512
+
+
+def _count_calls(monkeypatch, *functions) -> Counter:
+    """Wrap each function in every weillab module that binds it; return the call counter."""
+    counts: Counter = Counter()
+    modules = [m for name, m in sorted(sys.modules.items()) if name == "weillab" or name.startswith("weillab.")]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "q, a, b, family",
+    [
+        (8, 1, -7, Family.PIRR_A),
+        (7, 0, -7, Family.PIRR_A),
+        (7, 0, -13, Family.PIRR_B),
+        (9, 0, -16, Family.PIRR_B),
+    ],
+)
+def test_one_squarefree_part_and_irreducibility_test_per_record(monkeypatch, q, a, b, family):
+    f = make_weil_quartic(q, a, b)
+    kind = classify(f)
+    assert kind.family is family
+    counts = _count_calls(monkeypatch, squarefree_part, is_irreducible_over_Q)
+    build_record(f, kind)
+    assert counts["squarefree_part"] == 1
+    assert counts["is_irreducible_over_Q"] == 0
+    counts.clear()
+    build_record(f)  # classify runs the one irreducibility test
+    assert counts["squarefree_part"] == 1
+    assert counts["is_irreducible_over_Q"] == 1
+
+
+def test_outside_record_tests_irreducibility_once(monkeypatch):
+    f = make_weil_quartic(7, 1, 1)
+    counts = _count_calls(monkeypatch, squarefree_part, is_irreducible_over_Q)
+    record = build_record(f)
+    assert record.class_kind == "Outside"
+    assert counts["squarefree_part"] == 1
+    assert counts["is_irreducible_over_Q"] == 1
