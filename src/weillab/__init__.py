@@ -22,22 +22,16 @@ from .classify import (
     WrongKind,
     classify,
     enumerate_classes,
-    galois_metadata,
     p_rank_class,
 )
 from .core import (
-    Factorisation2,
     InternalInvariantError,
-    Label,
     MalformedLabel,
     NotPrimePower,
     NotWeil,
     WeilQuartic,
-    base_change_quadratic,
-    factor_mod_2,
     floor_2sqrt,
     is_irreducible_over_Q,
-    isqrt_floor,
     make_weil_quartic,
     parse_label,
     render_label,
@@ -57,14 +51,11 @@ from .two_adic import (
     two_adic_data,
 )
 from .verdict import (
-    CurveConstraints,
     Genus3Verdict,
-    NoSmallGenusCertificate,
     SPECIAL_Q3_WITNESS,
     curve_shape_constraints,
     degree4_polarisation_exists,
     genus3_verdict,
-    no_small_genus_certificate,
 )
 
 __version__ = "0.1.0"
@@ -74,15 +65,11 @@ __all__ = [
     "ClassKind",
     "ClassRecord",
     "ConjugationTag",
-    "CurveConstraints",
     "DegenerateDiscriminant",
-    "Factorisation2",
     "Family",
     "Genus3Verdict",
     "InternalInvariantError",
-    "Label",
     "MalformedLabel",
-    "NoSmallGenusCertificate",
     "NotPrimePower",
     "NotWeil",
     "PRankClass",
@@ -93,23 +80,18 @@ __all__ = [
     "TwoAdicData",
     "WeilQuartic",
     "WrongKind",
-    "base_change_quadratic",
     "build_record",
     "classify",
     "curve_shape_constraints",
     "degree4_polarisation_exists",
     "enumerate_classes",
-    "factor_mod_2",
     "floor_2sqrt",
     "fplus_discriminant",
-    "galois_metadata",
     "genus3_verdict",
     "genus_bounds_on_surface",
     "is_K_over_Kplus_ramified",
     "is_irreducible_over_Q",
-    "isqrt_floor",
     "make_weil_quartic",
-    "no_small_genus_certificate",
     "non_pp_bounds",
     "p_rank_class",
     "parse_label",

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
+from math import isqrt
 
 from .core import (
     InternalInvariantError,
     NotPrimePower,
     WeilQuartic,
-    isqrt_floor,
     is_irreducible_over_Q,
     make_weil_quartic,
     prime_power_decomposition,
@@ -74,10 +74,6 @@ class ClassKind:
     @property
     def is_irreducible_family(self) -> bool:
         return self.family in (Family.PIRR_A, Family.PIRR_B)
-
-    @property
-    def is_special(self) -> bool:
-        return self.family in (Family.SPECIAL_Q2, Family.SPECIAL_Q3)
 
 
 @unique
@@ -184,7 +180,7 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     # candidate (a, b) -> whether it meets the family A condition; every
     # (a, b) with a^2 - b = q and b < 0 is trial-divided in the first loop
     candidates: dict[tuple[int, int], bool] = {}
-    a_max = isqrt_floor(q - 1)
+    a_max = isqrt(q - 1)
     for a in range(-a_max, a_max + 1):
         b = a * a - q
         if prime_divisors_all_1_mod_3(-b):
@@ -224,11 +220,3 @@ def p_rank_class(f: WeilQuartic, kind: ClassKind) -> PRankClass:
         ordinary = f.b == 1 - 2 * f.q or (f.b == 2 - 2 * f.q and f.p > 2)
     return PRankClass.ORDINARY if ordinary else PRankClass.SUPERSINGULAR
 
-
-def galois_metadata(f: WeilQuartic, kind: ClassKind) -> bool:
-    """The quartic field of any family A or B member is Galois over Q.
-
-    Recorded as known metadata; not recomputed here.
-    """
-    _require_irreducible_family(kind, "galois_metadata")
-    return True

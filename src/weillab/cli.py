@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import WrongKind
@@ -88,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--only-no-genus3", action="store_true",
                         help="keep only classes with no genus-3 curve")
     p_enum.add_argument("--output", type=str, default=None, help="write records to a file")
-    p_enum.add_argument("--jobs", type=int, default=1, help="worker threads (output is order-stable)")
+    p_enum.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; enumeration runs in one thread")
     add_safe_bound(p_enum)
 
     p_bounds = subparsers.add_parser("bounds", help="point-count interval calculators")
@@ -195,14 +195,8 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     _check_q(q_max, bound)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    qs = prime_powers_in_range(q_min, q_max)
-    if args.jobs == 1:
-        per_q = [records_for_q(q) for q in qs]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_q = list(pool.map(records_for_q, qs))
-    # records_for_q yields (a, b) order and both paths keep q order
-    records = [record for chunk in per_q for record in chunk]
+    # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
+    records = [record for q in prime_powers_in_range(q_min, q_max) for record in records_for_q(q)]
     if args.only_no_genus3:
         records = [record for record in records if record.genus3_exists is False]
 
@@ -273,7 +267,7 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
         except ValueError:
             raise ValueError(f"--encode expects three integers, got {args.encode!r}")
         _check_q(q, bound)
-        out.write(str(render_label(make_weil_quartic(q, a, b))) + "\n")
+        out.write(render_label(make_weil_quartic(q, a, b)) + "\n")
         return 0
     _check_label_q(args.decode, bound)
     f = parse_label(args.decode)

@@ -48,21 +48,14 @@ class InternalInvariantError(RuntimeError):
 # integer square roots
 
 
-def isqrt_floor(n: int) -> int:
-    """floor(sqrt(n)) for n >= 0."""
-    if n < 0:
-        raise ValueError(f"isqrt_floor of negative number {n}")
-    return isqrt(n)
-
-
 def floor_2sqrt(q: int) -> int:
     """floor(2*sqrt(q)) for q >= 0, e.g. floor_2sqrt(8) == 5."""
-    return isqrt_floor(4 * q)
+    return isqrt(4 * q)
 
 
 def ceil_sqrt(n: int) -> int:
     """ceil(sqrt(n)) for n >= 0."""
-    s = isqrt_floor(n)
+    s = isqrt(n)
     return s if s * s == n else s + 1
 
 
@@ -207,14 +200,6 @@ def make_weil_quartic(q: int, a: int, b: int) -> WeilQuartic:
     return WeilQuartic(q=q, p=p, r=r, a=a, b=b)
 
 
-def _make_validated(q: int, p: int, r: int, a: int, b: int) -> WeilQuartic:
-    # internal fast path when (p, r) is already known
-    failure = weil_validity_failure(q, a, b)
-    if failure is not None:
-        raise InternalInvariantError(f"derived quartic invalid: (q={q}, a={a}, b={b}): {failure}")
-    return WeilQuartic(q=q, p=p, r=r, a=a, b=b)
-
-
 # ---------------------------------------------------------------------------
 # irreducibility over the rationals
 
@@ -267,155 +252,6 @@ def is_irreducible_over_Q(f: WeilQuartic) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# base change to the quadratic extension
-
-
-def base_change_quadratic(f: WeilQuartic) -> WeilQuartic:
-    """Weil quartic of the same class after extension of scalars to q^2.
-
-    The roots get squared, which in coefficients reads
-
-        a2 = 2b - a^2
-        b2 = b^2 - 2*a^2*q + 2*q^2
-    """
-    q, a, b = f.q, f.a, f.b
-    a2 = 2 * b - a * a
-    b2 = b * b - 2 * a * a * q + 2 * q * q
-    return _make_validated(q * q, f.p, 2 * f.r, a2, b2)
-
-
-# ---------------------------------------------------------------------------
-# factorisation modulo 2
-#
-# Polynomials over the 2-element field are bit masks: bit i is the
-# coefficient of t^i, so t^2 + t + 1 is 0b111.
-
-GF2_T = 0b10
-GF2_T_PLUS_1 = 0b11
-GF2_QUADRATIC = 0b111  # t^2 + t + 1, the only irreducible quadratic
-
-_GF2_IRREDUCIBLE = {
-    1: (GF2_T, GF2_T_PLUS_1),
-    2: (GF2_QUADRATIC,),
-    3: (0b1011, 0b1101),
-    4: (0b10011, 0b11001, 0b11111),
-}
-
-
-def gf2_degree(poly: int) -> int:
-    if poly == 0:
-        raise ValueError("degree of the zero polynomial is undefined")
-    return poly.bit_length() - 1
-
-
-def gf2_mul(x: int, y: int) -> int:
-    acc = 0
-    while y:
-        if y & 1:
-            acc ^= x
-        x <<= 1
-        y >>= 1
-    return acc
-
-
-def gf2_divmod(numerator: int, divisor: int) -> tuple[int, int]:
-    if divisor == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    d = gf2_degree(divisor)
-    quotient = 0
-    remainder = numerator
-    while remainder and gf2_degree(remainder) >= d:
-        shift = gf2_degree(remainder) - d
-        quotient |= 1 << shift
-        remainder ^= divisor << shift
-    return quotient, remainder
-
-
-def gf2_poly_str(poly: int) -> str:
-    if poly == 0:
-        return "0"
-    terms = []
-    for i in range(gf2_degree(poly), -1, -1):
-        if poly >> i & 1:
-            terms.append("1" if i == 0 else ("t" if i == 1 else f"t^{i}"))
-    return "+".join(terms)
-
-
-@dataclass(frozen=True)
-class Factorisation2:
-    """Complete factorisation of f mod 2 into irreducibles over GF(2).
-
-    ``factors`` lists (polynomial bit mask, multiplicity), sorted by
-    (degree, mask); the degrees weighted by multiplicity sum to 4.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def product(self) -> int:
-        acc = 1
-        for poly, mult in self.factors:
-            for _ in range(mult):
-                acc = gf2_mul(acc, poly)
-        return acc
-
-    def degree_multiset(self) -> tuple[int, ...]:
-        """Degrees of the irreducible factors, repeated by multiplicity."""
-        degs: list[int] = []
-        for poly, mult in self.factors:
-            degs.extend([gf2_degree(poly)] * mult)
-        return tuple(sorted(degs))
-
-    def max_factor_degree(self) -> int:
-        return max(gf2_degree(poly) for poly, _ in self.factors)
-
-    def __str__(self) -> str:
-        parts = []
-        for poly, mult in self.factors:
-            base = gf2_poly_str(poly)
-            if "+" in base:
-                base = f"({base})"
-            parts.append(base if mult == 1 else f"{base}^{mult}")
-        return " * ".join(parts)
-
-
-def reduce_mod_2(f: WeilQuartic) -> int:
-    c4, c3, c2, c1, c0 = f.coefficients()
-    return (
-        (c4 & 1) << 4 | (c3 & 1) << 3 | (c2 & 1) << 2 | (c1 & 1) << 1 | (c0 & 1)
-    )
-
-
-def factor_mod_2(f: WeilQuartic) -> Factorisation2:
-    """Factor f mod 2 into irreducibles over the 2-element field.
-
-    Trial division by t, t+1 and t^2+t+1 strips every factor of degree
-    at most 2; whatever remains has no such factor, hence is irreducible,
-    and is checked against the finite table of irreducibles of degree <= 4.
-    """
-    poly = reduce_mod_2(f)
-    counts: dict[int, int] = {}
-    for divisor in (GF2_T, GF2_T_PLUS_1, GF2_QUADRATIC):
-        while True:
-            quotient, remainder = gf2_divmod(poly, divisor)
-            if remainder:
-                break
-            counts[divisor] = counts.get(divisor, 0) + 1
-            poly = quotient
-    if poly != 1:
-        degree = gf2_degree(poly)
-        if poly not in _GF2_IRREDUCIBLE.get(degree, ()):
-            raise InternalInvariantError(
-                f"leftover factor {gf2_poly_str(poly)} of degree {degree} is not irreducible"
-            )
-        counts[poly] = counts.get(poly, 0) + 1
-    factors = tuple(sorted(counts.items(), key=lambda item: (gf2_degree(item[0]), item[0])))
-    result = Factorisation2(factors=factors)
-    if result.product() != reduce_mod_2(f):
-        raise InternalInvariantError(f"mod-2 factorisation of {f} does not multiply back")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # label codec
 #
 # Isogeny-class labels follow the scheme "2.<q>.<enc(a)>_<enc(b)>" where
@@ -424,16 +260,6 @@ def factor_mod_2(f: WeilQuartic) -> Factorisation2:
 # carry a leading 'a' marker: enc(0) = "a", enc(11) = "l", enc(-11) = "al".
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-
-
-@dataclass(frozen=True)
-class Label:
-    """Validated label text of shape 2.<q>.<enc(a)>_<enc(b)>."""
-
-    text: str
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def _encode_coefficient(n: int) -> str:
@@ -464,8 +290,8 @@ def _decode_coefficient(text: str) -> int:
     return value
 
 
-def render_label(f: WeilQuartic) -> Label:
-    return Label(f"2.{f.q}.{_encode_coefficient(f.a)}_{_encode_coefficient(f.b)}")
+def render_label(f: WeilQuartic) -> str:
+    return f"2.{f.q}.{_encode_coefficient(f.a)}_{_encode_coefficient(f.b)}"
 
 
 def parse_label(text: str) -> WeilQuartic:

@@ -70,22 +70,6 @@ class ClassRecord:
 assert tuple(f.name for f in fields(ClassRecord)) == FIELD_NAMES
 
 
-def _tristate(value: bool | None) -> str:
-    if value is None:
-        return "unasserted"
-    return "true" if value else "false"
-
-
-def _constraints_str(f: WeilQuartic, kind: ClassKind) -> str:
-    constraints = curve_shape_constraints(f, kind)
-    return (
-        f"clause={constraints.clause}"
-        f";not_hyperelliptic={_tristate(constraints.not_hyperelliptic)}"
-        f";bielliptic_plane_quartic={_tristate(constraints.bielliptic_plane_quartic_form)}"
-        f";jacobian_splits_E_x_A={_tristate(constraints.jacobian_splits_as_E_times_A)}"
-    )
-
-
 def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     """Full record for one class; kind is classified when not supplied.
 
@@ -116,7 +100,7 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
         "r": f.r,
         "a": f.a,
         "b": f.b,
-        "label": str(render_label(f)),
+        "label": render_label(f),
         "class_kind": kind.family.value,
         "b_case": kind.b_case,
         "ordinary": None,
@@ -141,7 +125,7 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
         record["genus3_exists"] = verdict.genus3_curve_exists
         record["rule"] = verdict.rule
         record["deg4_polarisation"] = verdict.deg4_polarisation_exists
-        record["curve_constraints"] = _constraints_str(f, kind)
+        record["curve_constraints"] = curve_shape_constraints(f, kind)
         if verdict.witness:
             notes.append(f"witness={verdict.witness}")
         if verdict.note:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .classify import ClassKind, Family, PRankClass, WrongKind, p_rank_class
+from .classify import ClassKind, Family, PRankClass, _require_irreducible_family, p_rank_class
 from .core import WeilQuartic, squarefree_part
 
 
@@ -119,8 +119,7 @@ def is_K_over_Kplus_ramified(f: WeilQuartic, kind: ClassKind) -> bool:
     Happens exactly for family B with b = 2-2q and q odd; never for
     family A.
     """
-    if not kind.is_irreducible_family:
-        raise WrongKind(f"is_K_over_Kplus_ramified needs a family A or B member, got {kind.family.value}")
+    _require_irreducible_family(kind, "is_K_over_Kplus_ramified")
     if kind.family is Family.PIRR_A:
         return False
     return f.b == 2 - 2 * f.q and f.q % 2 == 1
@@ -143,8 +142,7 @@ def shape_2_in_K(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) 
     ``split2`` is the splitting of 2 in K+ when the caller already has
     it; family A otherwise derives it with :func:`splitting_2_in_Kplus`.
     """
-    if not kind.is_irreducible_family:
-        raise WrongKind(f"shape_2_in_K needs a family A or B member, got {kind.family.value}")
+    _require_irreducible_family(kind, "shape_2_in_K")
     if kind.family is Family.PIRR_A:
         symbol = split2 if split2 is not None else splitting_2_in_Kplus(f)
         if symbol is Split2.INERT:
@@ -165,8 +163,10 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
 
     The discriminant of f+ is factorised once; its squarefree part d
     gives the splitting of 2 in K+, which is handed on to
-    :func:`shape_2_in_K` rather than derived again.
+    :func:`shape_2_in_K` rather than derived again.  The kind is checked
+    first, so an Outside class raises WrongKind whatever its discriminant.
     """
+    _require_irreducible_family(kind, "two_adic_data")
     delta, c, d = _squarefree_discriminant(f)
     split2 = _split2_from_d(d)
     return TwoAdicData(

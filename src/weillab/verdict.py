@@ -27,10 +27,11 @@ from .classify import (
     Family,
     PRankClass,
     WrongKind,
+    _require_irreducible_family,
     family_b_case,
     p_rank_class,
 )
-from .core import WeilQuartic, factorize
+from .core import WeilQuartic
 from .two_adic import Split2, splitting_2_in_Kplus
 
 SPECIAL_Q3_WITNESS = "y^4+xz^3+2x^3z"
@@ -50,47 +51,14 @@ class Genus3Verdict:
 
     ``deg4_polarisation_exists`` is None for the two special classes,
     which are settled without the polarisation criterion.  For family A
-    and B the two booleans coincide.  ``ordinary_max_ring_equivalent``
-    records that for ordinary classes the verdict may equivalently be
-    tested on surfaces with maximal endomorphism ring.
+    and B the two booleans coincide.
     """
 
     deg4_polarisation_exists: bool | None
     genus3_curve_exists: bool
     rule: str
-    ordinary_max_ring_equivalent: bool
     witness: str | None = None
     note: str | None = None
-
-
-@dataclass(frozen=True)
-class NoSmallGenusCertificate:
-    """Which family clause certifies the absence of genus <= 2 curves."""
-
-    clause: str  # "a" or "b"
-    b_prime_divisors: tuple[int, ...] | None = None
-    b_pattern: str | None = None
-
-    def __str__(self) -> str:
-        if self.clause == "a":
-            divisors = ",".join(str(p) for p in self.b_prime_divisors or ())
-            return f"clause-a(prime-divisors-of-b={{{divisors}}})"
-        return f"clause-b({self.b_pattern})"
-
-
-@dataclass(frozen=True)
-class CurveConstraints:
-    """Shape facts about smooth genus-3 curves on surfaces in the class.
-
-    The three curve facts hold for odd characteristic only; for p = 2
-    they are reported as None (not asserted) rather than False.
-    """
-
-    no_genus_le2: bool
-    clause: str
-    not_hyperelliptic: bool | None
-    bielliptic_plane_quartic_form: bool | None
-    jacobian_splits_as_E_times_A: bool | None
 
 
 def _require_family_member(kind: ClassKind, operation: str) -> None:
@@ -104,8 +72,7 @@ def degree4_polarisation_exists(f: WeilQuartic, kind: ClassKind, split2: Split2 
     ``split2`` is the splitting of 2 in K+ when the caller already has
     it; family A otherwise derives it with :func:`splitting_2_in_Kplus`.
     """
-    if not kind.is_irreducible_family:
-        raise WrongKind(f"degree4_polarisation_exists needs a family A or B member, got {kind.family.value}")
+    _require_irreducible_family(kind, "degree4_polarisation_exists")
     if kind.family is Family.PIRR_A:
         symbol = split2 if split2 is not None else splitting_2_in_Kplus(f)
         return symbol is not Split2.INERT
@@ -126,7 +93,6 @@ def genus3_verdict(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None
             deg4_polarisation_exists=None,
             genus3_curve_exists=False,
             rule=RULE_SPECIAL_Q2,
-            ordinary_max_ring_equivalent=False,
             note=_SPECIAL_NOTE,
         )
     if kind.family is Family.SPECIAL_Q3:
@@ -134,56 +100,41 @@ def genus3_verdict(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None
             deg4_polarisation_exists=None,
             genus3_curve_exists=True,
             rule=RULE_SPECIAL_Q3,
-            ordinary_max_ring_equivalent=False,
             witness=SPECIAL_Q3_WITNESS,
             note=_SPECIAL_NOTE,
         )
-    ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
     exists = degree4_polarisation_exists(f, kind, split2)
     if kind.family is Family.PIRR_A:
         rule = RULE_A_NONINERT if exists else RULE_A_INERT
+    elif p_rank_class(f, kind) is PRankClass.ORDINARY:
+        rule = RULE_B_ORDINARY
     else:
-        rule = RULE_B_ORDINARY if ordinary else RULE_B_SUPERSINGULAR
+        rule = RULE_B_SUPERSINGULAR
     return Genus3Verdict(
         deg4_polarisation_exists=exists,
         genus3_curve_exists=exists,
         rule=rule,
-        ordinary_max_ring_equivalent=ordinary,
     )
 
 
-def no_small_genus_certificate(f: WeilQuartic, kind: ClassKind) -> NoSmallGenusCertificate:
-    """Clause certifying that no surface in the class carries a genus <= 2 curve."""
-    _require_family_member(kind, "no_small_genus_certificate")
-    if kind.family is Family.PIRR_A:
-        divisors = tuple(sorted(factorize(-f.b))) if f.b < -1 else ()
-        return NoSmallGenusCertificate(clause="a", b_prime_divisors=divisors)
-    return NoSmallGenusCertificate(clause="b", b_pattern=_b_pattern(f, kind))
-
-
-def _b_pattern(f: WeilQuartic, kind: ClassKind) -> str | None:
-    # the specials carry no b_case of their own; their pattern is matched afresh
-    return kind.b_case if kind.b_case is not None else family_b_case(f)
-
-
-def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> CurveConstraints:
-    """Constraints on smooth genus-3 curves lying on surfaces in the class.
+def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> str:
+    """Constraints on smooth genus-3 curves on surfaces in the class, as a record cell.
 
     In odd characteristic any such curve is a non-hyperelliptic
     bielliptic plane quartic y^4 - h(x,z)y^2 + r(x,z) = 0 and its
-    Jacobian is isogenous to a product E x A with E elliptic.
-
-    The certifying clause is read from ``kind``; the prime divisors of b
-    that :func:`no_small_genus_certificate` lists are not computed.
+    Jacobian is isogenous to a product E x A with E elliptic; for p = 2
+    the three facts are reported as unasserted rather than false.  The
+    clause certifying the absence of curves of genus <= 2 is read from
+    ``kind``: "a", or "b:" followed by the matched family B pattern.
     """
     _require_family_member(kind, "curve_shape_constraints")
-    clause = "a" if kind.family is Family.PIRR_A else f"b:{_b_pattern(f, kind)}"
-    odd = f.p > 2
-    asserted = True if odd else None
-    return CurveConstraints(
-        no_genus_le2=True,
-        clause=clause,
-        not_hyperelliptic=asserted,
-        bielliptic_plane_quartic_form=asserted,
-        jacobian_splits_as_E_times_A=asserted,
+    if kind.family is Family.PIRR_A:
+        clause = "a"
+    else:
+        # the specials carry no b_case of their own; their pattern is matched afresh
+        clause = f"b:{kind.b_case or family_b_case(f)}"
+    asserted = "true" if f.p > 2 else "unasserted"
+    return (
+        f"clause={clause};not_hyperelliptic={asserted}"
+        f";bielliptic_plane_quartic={asserted};jacobian_splits_E_x_A={asserted}"
     )

@@ -238,6 +238,18 @@ def gf2_factor_weil(q: int, a: int, b: int) -> list[tuple[tuple[int, ...], int]]
     return result
 
 
+_GF2_NAMES = {(0, 1): "t", (1, 1): "t+1", (1, 1, 1): "t^2+t+1"}
+
+
+def gf2_factor_names(q: int, a: int, b: int) -> dict[str, int]:
+    """gf2_factor_weil as {factor: multiplicity}, e.g. {"t": 2, "t^2+t+1": 1}.
+
+    Factors of degree <= 2 are named; a leftover of degree 3 or 4 is
+    keyed by its ascending coefficient tuple.
+    """
+    return {_GF2_NAMES.get(poly, str(poly)): mult for poly, mult in gf2_factor_weil(q, a, b)}
+
+
 def gf2_degree_multiset(q: int, a: int, b: int) -> list[int]:
     degs: list[int] = []
     for factor, mult in gf2_factor_weil(q, a, b):

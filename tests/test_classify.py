@@ -8,10 +8,8 @@ from weillab import (
     Family,
     PRankClass,
     WrongKind,
-    base_change_quadratic,
     classify,
     enumerate_classes,
-    galois_metadata,
     is_irreducible_over_Q,
     make_weil_quartic,
     p_rank_class,
@@ -183,21 +181,16 @@ def test_family_b_characterisation_by_base_change():
 def test_family_b_characterisation_production_path():
     from weillab.classify import family_b_case
 
+    from oracles import companion_base_change
+
     for f, kind in _members():
+        base_change = make_weil_quartic(f.q * f.q, *companion_base_change(f.q, f.a, f.b))
         rhs = (
             is_irreducible_over_Q(f)
-            and not is_irreducible_over_Q(base_change_quadratic(f))
+            and not is_irreducible_over_Q(base_change)
             and family_b_case(f) is not None
         )
         assert (kind.family is Family.PIRR_B) == rhs, (f.q, f.a, f.b)
-
-
-def test_base_change_closed_form_on_members():
-    from oracles import companion_base_change
-
-    for f, _ in _members():
-        g = base_change_quadratic(f)
-        assert (g.a, g.b) == companion_base_change(f.q, f.a, f.b)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +221,3 @@ def test_p_rank_rejects_specials():
     g = make_weil_quartic(2, 0, -1)
     with pytest.raises(WrongKind):
         p_rank_class(g, classify(g))
-
-
-# ---------------------------------------------------------------------------
-# Galois metadata
-
-
-def test_galois_metadata():
-    f = make_weil_quartic(8, 1, -7)
-    assert galois_metadata(f, classify(f)) is True
-    g = make_weil_quartic(7, 0, -12)
-    assert galois_metadata(g, classify(g)) is True
-    special = make_weil_quartic(3, 0, -6)
-    with pytest.raises(WrongKind):
-        galois_metadata(special, classify(special))

@@ -110,6 +110,14 @@ def test_enumerate_bad_range(capsys):
     assert "q-min" in err
 
 
+def test_enumerate_rejects_zero_jobs(capsys):
+    # --jobs is otherwise ignored, but its value is still checked
+    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--jobs", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--jobs" in err
+
+
 def test_enumerate_skips_non_prime_powers(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--q-min", "5", "--q-max", "7", "--format", "csv")
     assert code == 0

@@ -5,25 +5,22 @@ import random
 import pytest
 
 from weillab import (
-    Factorisation2,
     MalformedLabel,
     NotPrimePower,
     NotWeil,
     WeilQuartic,
-    base_change_quadratic,
-    factor_mod_2,
     floor_2sqrt,
     is_irreducible_over_Q,
-    isqrt_floor,
     make_weil_quartic,
     parse_label,
     render_label,
     squarefree_part,
 )
-from weillab.core import gf2_poly_str, reduce_mod_2, weil_validity_failure
+from weillab.core import ceil_sqrt, weil_validity_failure
 
 from oracles import (
     companion_base_change,
+    gf2_factor_names,
     has_weil_root_moduli,
     prime_powers_up_to,
     valid_pairs_for_q,
@@ -63,8 +60,6 @@ def test_prime_power_fields():
 
 @pytest.mark.parametrize("q", prime_powers_up_to(50))
 def test_validity_inequalities_agree_with_root_modulus_oracle(q):
-    from weillab.core import ceil_sqrt
-
     a_bound = 4 * ceil_sqrt(q)
     for a in range(-a_bound, a_bound + 1):
         for b in range(-(2 * q + a * a), 2 * q + a * a + 1):
@@ -103,51 +98,40 @@ def test_irreducibility_matches_brute_force(q):
 
 
 # ---------------------------------------------------------------------------
-# base change
+# base change (companion-matrix oracle; validity and irreducibility are production)
 
 
 def test_base_change_closed_form_examples():
-    g = base_change_quadratic(make_weil_quartic(2, 0, -2))
-    assert (g.q, g.a, g.b) == (4, -4, 12)
-    h = base_change_quadratic(make_weil_quartic(2, 0, -4))
-    assert (h.q, h.a, h.b) == (4, -8, 24)
-    assert not is_irreducible_over_Q(g)  # (t^2-2t+4)^2
-    assert not is_irreducible_over_Q(h)  # (t-2)^4
+    assert companion_base_change(2, 0, -2) == (-4, 12)
+    assert companion_base_change(2, 0, -4) == (-8, 24)
+    assert not is_irreducible_over_Q(make_weil_quartic(4, -4, 12))  # (t^2-2t+4)^2
+    assert not is_irreducible_over_Q(make_weil_quartic(4, -8, 24))  # (t-2)^4
 
 
 def test_base_change_zero_coefficients():
-    g = base_change_quadratic(make_weil_quartic(5, 0, 0))
-    assert (g.q, g.a, g.b) == (25, 0, 50)
+    assert companion_base_change(5, 0, 0) == (0, 50)
+    g = make_weil_quartic(25, 0, 50)
+    assert (g.p, g.r) == (5, 2)
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(50))
 def test_base_change_matches_companion_matrix(q):
+    # the squared roots have absolute value q, so every base change passes
+    # the production validity check over q^2 with the same p and twice r
     for a, b in valid_pairs_for_q(q):
-        g = base_change_quadratic(make_weil_quartic(q, a, b))
-        assert (g.a, g.b) == companion_base_change(q, a, b), (q, a, b)
+        f = make_weil_quartic(q, a, b)
+        g = make_weil_quartic(q * q, *companion_base_change(q, a, b))
+        assert (g.p, g.r) == (f.p, 2 * f.r), (q, a, b)
 
 
 # ---------------------------------------------------------------------------
-# factorisation mod 2
-
-
-def _factors_as_strings(fact: Factorisation2) -> dict[str, int]:
-    return {gf2_poly_str(poly): mult for poly, mult in fact.factors}
+# factorisation mod 2 (list-based oracle)
 
 
 def test_factor_mod_2_examples():
-    assert _factors_as_strings(factor_mod_2(make_weil_quartic(8, 1, -7))) == {"t": 2, "t^2+t+1": 1}
-    assert _factors_as_strings(factor_mod_2(make_weil_quartic(5, 2, -1))) == {"t^2+t+1": 2}
-    assert _factors_as_strings(factor_mod_2(make_weil_quartic(7, 0, -12))) == {"t+1": 4}
-
-
-def test_factor_mod_2_multiplies_back_on_grid():
-    for q in prime_powers_up_to(27):
-        for a, b in valid_pairs_for_q(q):
-            f = make_weil_quartic(q, a, b)
-            fact = factor_mod_2(f)
-            assert fact.product() == reduce_mod_2(f)
-            assert sum(e for e in fact.degree_multiset()) == 4
+    assert gf2_factor_names(8, 1, -7) == {"t": 2, "t^2+t+1": 1}
+    assert gf2_factor_names(5, 2, -1) == {"t^2+t+1": 2}
+    assert gf2_factor_names(7, 0, -12) == {"t+1": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +173,22 @@ def test_squarefree_part_sampled():
 # integer square roots
 
 
-def test_isqrt_floor():
-    assert isqrt_floor(0) == 0
-    assert isqrt_floor(35) == 5
-    assert isqrt_floor(36) == 6
-    with pytest.raises(ValueError):
-        isqrt_floor(-1)
-
-
 def test_floor_2sqrt():
     assert floor_2sqrt(8) == 5
     assert floor_2sqrt(4) == 4
     assert floor_2sqrt(1) == 2
     assert floor_2sqrt(11) == 6
+    with pytest.raises(ValueError):
+        floor_2sqrt(-1)
+
+
+def test_ceil_sqrt():
+    assert ceil_sqrt(0) == 0
+    assert ceil_sqrt(35) == 6
+    assert ceil_sqrt(36) == 6
+    assert ceil_sqrt(37) == 7
+    with pytest.raises(ValueError):
+        ceil_sqrt(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from weillab import (
     WrongKind,
     classify,
     enumerate_classes,
-    factor_mod_2,
     fplus_discriminant,
     is_K_over_Kplus_ramified,
     make_weil_quartic,
@@ -20,9 +19,7 @@ from weillab import (
     splitting_2_in_Kplus,
     two_adic_data,
 )
-from weillab.core import gf2_poly_str
-
-from oracles import fplus_mod2_shape, prime_powers_up_to, trial_squarefree
+from oracles import fplus_mod2_shape, gf2_factor_names, prime_powers_up_to, trial_squarefree
 
 SWEEP_LIMIT = 100
 
@@ -115,8 +112,7 @@ def test_ramified_members_are_ordinary_with_fourth_power_reduction():
             continue
         seen += 1
         assert p_rank_class(f, kind) is PRankClass.ORDINARY
-        factors = {gf2_poly_str(poly): mult for poly, mult in factor_mod_2(f).factors}
-        assert factors == {"t+1": 4}, (f.q, f.a, f.b)
+        assert gf2_factor_names(f.q, f.a, f.b) == {"t+1": 4}, (f.q, f.a, f.b)
     assert seen > 0
 
 
@@ -174,7 +170,7 @@ def test_family_b_shape_against_mod2_reduction():
         if kind.family is not Family.PIRR_B:
             continue
         shape = shape_2_in_K(f, kind).factors
-        reduction = {gf2_poly_str(poly): mult for poly, mult in factor_mod_2(f).factors}
+        reduction = gf2_factor_names(f.q, f.a, f.b)
         if reduction == {"t^2+t+1": 2}:
             assert shape == ((2, 2, 1),), (f.q, f.a, f.b)
         elif reduction == {"t": 2, "t+1": 2}:
@@ -257,3 +253,18 @@ def test_two_adic_data_bundle():
     assert data.split2_Kplus is Split2.INERT
     assert data.K_over_Kplus_ramified is False
     assert data.c * data.c * data.d == data.delta
+
+
+@pytest.mark.parametrize(
+    "q,a,b,delta",
+    [
+        (25, -18, 131, 0),  # discriminant 0
+        (2, 0, 0, 16),  # square discriminant
+    ],
+)
+def test_two_adic_data_rejects_outside_before_the_discriminant(q, a, b, delta):
+    f, kind = _kind(q, a, b)
+    assert kind.family is Family.OUTSIDE
+    assert fplus_discriminant(f) == delta
+    with pytest.raises(WrongKind):
+        two_adic_data(f, kind)

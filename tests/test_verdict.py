@@ -14,7 +14,6 @@ from weillab import (
     enumerate_classes,
     genus3_verdict,
     make_weil_quartic,
-    no_small_genus_certificate,
     p_rank_class,
     shape_2_in_K,
     splitting_2_in_Kplus,
@@ -103,13 +102,6 @@ def test_family_rules_and_equality_of_verdicts():
         assert verdict.genus3_curve_exists == verdict.deg4_polarisation_exists
 
 
-def test_ordinary_max_ring_flag():
-    f, kind = _kind(7, 0, -13)
-    assert genus3_verdict(f, kind).ordinary_max_ring_equivalent is True
-    g, g_kind = _kind(9, 0, -9)
-    assert genus3_verdict(g, g_kind).ordinary_max_ring_equivalent is False
-
-
 def test_verdict_rejects_outside():
     f, kind = _kind(2, 0, -1)
     with pytest.raises(WrongKind):
@@ -154,61 +146,47 @@ def test_verdicts_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# genus <= 2 certificates
+# curve shape constraints and the clause certifying no curves of genus <= 2
+
+
+def _cell(q, a, b):
+    f, kind = _kind(q, a, b)
+    return dict(item.split("=", 1) for item in curve_shape_constraints(f, kind).split(";"))
 
 
 def test_certificate_clause_a():
-    f, kind = _kind(8, 1, -7)
-    certificate = no_small_genus_certificate(f, kind)
-    assert certificate.clause == "a"
-    assert certificate.b_prime_divisors == (7,)
-    assert all(p % 3 == 1 for p in certificate.b_prime_divisors)
+    assert _cell(8, 1, -7)["clause"] == "a"
 
 
 def test_certificate_clause_a_vacuous():
-    f, kind = _kind(2, 1, -1)
-    certificate = no_small_genus_certificate(f, kind)
-    assert certificate.clause == "a"
-    assert certificate.b_prime_divisors == ()
+    # b = -1 has no prime divisor at all
+    assert _cell(2, 1, -1)["clause"] == "a"
 
 
 def test_certificate_clause_b():
-    f, kind = _kind(7, 0, -13)
-    certificate = no_small_genus_certificate(f, kind)
-    assert certificate.clause == "b"
-    assert certificate.b_pattern == "b=1-2q"
-    g, g_kind = _kind(2, 0, -4)
-    g_cert = no_small_genus_certificate(g, g_kind)
-    assert (g_cert.clause, g_cert.b_pattern) == ("b", "(q,b)=(2,-4)")
+    assert _cell(7, 0, -13)["clause"] == "b:b=1-2q"
+    # the special square carries no b_case; its pattern is matched afresh
+    assert _cell(2, 0, -4)["clause"] == "b:(q,b)=(2,-4)"
 
 
 def test_certificate_rejects_outside():
     f, kind = _kind(13, 0, -11)
     with pytest.raises(WrongKind):
-        no_small_genus_certificate(f, kind)
-
-
-# ---------------------------------------------------------------------------
-# curve shape constraints
+        curve_shape_constraints(f, kind)
 
 
 def test_constraints_odd_characteristic():
     f, kind = _kind(9, 0, -9)
-    constraints = curve_shape_constraints(f, kind)
-    assert constraints.no_genus_le2 is True
-    assert constraints.not_hyperelliptic is True
-    assert constraints.bielliptic_plane_quartic_form is True
-    assert constraints.jacobian_splits_as_E_times_A is True
-    g, g_kind = _kind(5, 2, -1)
-    g_constraints = curve_shape_constraints(g, g_kind)
-    assert g_constraints.not_hyperelliptic is True
-    assert g_constraints.clause == "a"
+    assert curve_shape_constraints(f, kind) == (
+        "clause=b:b=-q;not_hyperelliptic=true;bielliptic_plane_quartic=true;jacobian_splits_E_x_A=true"
+    )
+    cell = _cell(5, 2, -1)
+    assert cell["not_hyperelliptic"] == "true"
+    assert cell["clause"] == "a"
 
 
 def test_constraints_unasserted_in_characteristic_2():
-    f, kind = _kind(8, 1, -7)
-    constraints = curve_shape_constraints(f, kind)
-    assert constraints.no_genus_le2 is True
-    assert constraints.not_hyperelliptic is None
-    assert constraints.bielliptic_plane_quartic_form is None
-    assert constraints.jacobian_splits_as_E_times_A is None
+    cell = _cell(8, 1, -7)
+    assert cell["not_hyperelliptic"] == "unasserted"
+    assert cell["bielliptic_plane_quartic"] == "unasserted"
+    assert cell["jacobian_splits_E_x_A"] == "unasserted"
