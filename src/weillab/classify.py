@@ -210,13 +210,13 @@ def p_rank_class(f: WeilQuartic, kind: ClassKind) -> PRankClass:
     """Ordinary or supersingular; no family member has intermediate p-rank.
 
     Family A members are ordinary exactly when a != 0; family B members
-    exactly when b = 1-2q, or b = 2-2q with p > 2.  Agrees with the
-    general criterion gcd(b, p) = 1.
+    exactly when the matched pattern is b = 1-2q or b = 2-2q, that is,
+    not b = -q.  Agrees with the general criterion gcd(b, p) = 1.
     """
     _require_irreducible_family(kind, "p_rank_class")
     if kind.family is Family.PIRR_A:
         ordinary = f.a != 0
     else:
-        ordinary = f.b == 1 - 2 * f.q or (f.b == 2 - 2 * f.q and f.p > 2)
+        ordinary = kind.b_case != B_CASE_MINUS_Q
     return PRankClass.ORDINARY if ordinary else PRankClass.SUPERSINGULAR
 

@@ -14,32 +14,8 @@ from dataclasses import dataclass, fields
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, is_irreducible_over_Q, render_label, squarefree_part
-from .two_adic import fplus_discriminant, two_adic_data
+from .two_adic import fplus_discriminant
 from .verdict import curve_shape_constraints, genus3_verdict
-
-FIELD_NAMES = (
-    "q",
-    "p",
-    "r",
-    "a",
-    "b",
-    "label",
-    "class_kind",
-    "b_case",
-    "ordinary",
-    "irreducible",
-    "fplus_disc",
-    "c",
-    "d",
-    "split2_Kplus",
-    "K_over_Kplus_ramified",
-    "shape2_K",
-    "deg4_polarisation",
-    "genus3_exists",
-    "rule",
-    "curve_constraints",
-    "notes",
-)
 
 
 @dataclass(frozen=True)
@@ -67,76 +43,60 @@ class ClassRecord:
     notes: str | None
 
 
-assert tuple(f.name for f in fields(ClassRecord)) == FIELD_NAMES
+FIELD_NAMES = tuple(f.name for f in fields(ClassRecord))
 
 
 def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     """Full record for one class; kind is classified when not supplied.
 
-    Each derived quantity is computed once.  For family A and B members
-    :func:`two_adic_data` factorises the discriminant of f+, and its
-    (c, d) and splitting of 2 in K+ feed the record and the genus-3
-    verdict.  The irreducible column is read from ``kind``, which
-    classify settled: family members are irreducible, the two specials
-    are not, and only an Outside class is tested here.
+    Each derived quantity is computed once.  For every family member
+    :func:`genus3_verdict` decides the verdict, and for family A and B it
+    carries the 2-adic data (c, d, splitting, shape and ramification)
+    that the record reads.  The irreducible column is read from
+    ``kind``, which classify settled: family members are irreducible,
+    the two specials are not, and only an Outside class is tested here.
     """
     if kind is None:
         kind = classify(f)
     delta = fplus_discriminant(f)
-    data = None
-    c = d = None
-    if kind.is_irreducible_family:
-        data = two_adic_data(f, kind)
-        c, d = data.c, data.d
-    elif delta != 0:
-        c, d = squarefree_part(delta)
-    if kind.family is Family.OUTSIDE:
-        irreducible = is_irreducible_over_Q(f)
-    else:
-        irreducible = kind.is_irreducible_family
-    record = {
-        "q": f.q,
-        "p": f.p,
-        "r": f.r,
-        "a": f.a,
-        "b": f.b,
-        "label": render_label(f),
-        "class_kind": kind.family.value,
-        "b_case": kind.b_case,
-        "ordinary": None,
-        "irreducible": irreducible,
-        "fplus_disc": delta,
-        "c": c,
-        "d": d,
-        "split2_Kplus": None,
-        "K_over_Kplus_ramified": None,
-        "shape2_K": None,
-        "deg4_polarisation": None,
-        "genus3_exists": None,
-        "rule": None,
-        "curve_constraints": None,
-        "notes": None,
-    }
+    verdict = data = None
     notes: list[str] = []
     if kind.family is Family.OUTSIDE:
         notes.append(f"reason={kind.reason}")
     else:
-        verdict = genus3_verdict(f, kind, data.split2_Kplus if data is not None else None)
-        record["genus3_exists"] = verdict.genus3_curve_exists
-        record["rule"] = verdict.rule
-        record["deg4_polarisation"] = verdict.deg4_polarisation_exists
-        record["curve_constraints"] = curve_shape_constraints(f, kind)
+        verdict = genus3_verdict(f, kind)
+        data = verdict.two_adic
         if verdict.witness:
             notes.append(f"witness={verdict.witness}")
         if verdict.note:
             notes.append(verdict.note)
-        if data is not None:
-            record["ordinary"] = p_rank_class(f, kind) is PRankClass.ORDINARY
-            record["split2_Kplus"] = data.split2_Kplus.value
-            record["K_over_Kplus_ramified"] = data.K_over_Kplus_ramified
-            record["shape2_K"] = str(data.shape2_K)
-    record["notes"] = "; ".join(notes) if notes else None
-    return ClassRecord(**record)
+    if data is not None:
+        c, d = data.c, data.d
+    else:
+        c, d = squarefree_part(delta) if delta != 0 else (None, None)
+    return ClassRecord(
+        q=f.q,
+        p=f.p,
+        r=f.r,
+        a=f.a,
+        b=f.b,
+        label=render_label(f),
+        class_kind=kind.family.value,
+        b_case=kind.b_case,
+        ordinary=None if data is None else p_rank_class(f, kind) is PRankClass.ORDINARY,
+        irreducible=is_irreducible_over_Q(f) if kind.family is Family.OUTSIDE else kind.is_irreducible_family,
+        fplus_disc=delta,
+        c=c,
+        d=d,
+        split2_Kplus=None if data is None else data.split2_Kplus.value,
+        K_over_Kplus_ramified=None if data is None else data.K_over_Kplus_ramified,
+        shape2_K=None if data is None else str(data.shape2_K),
+        deg4_polarisation=None if verdict is None else verdict.deg4_polarisation_exists,
+        genus3_exists=None if verdict is None else verdict.genus3_curve_exists,
+        rule=None if verdict is None else verdict.rule,
+        curve_constraints=None if verdict is None else curve_shape_constraints(f, kind),
+        notes="; ".join(notes) if notes else None,
+    )
 
 
 def records_for_q(q: int) -> list[ClassRecord]:

@@ -13,10 +13,10 @@ This is a field-level criterion; the factorisation of f+ mod 2 only
 agrees with it when c is odd, which the test suite checks but the
 implementation never relies on.
 
-For family B, 2 always ramifies in K+; write m for the unique prime of
-K+ above 2.  The shape of 2 in K is then decided by the decision table
-in :func:`shape_2_in_K`.  K/K+ is ramified at a finite prime exactly for
-b = 2-2q with q odd, in which case 2 is totally ramified in K.
+The shape of 2 in K is read from one of two tables in
+:func:`two_adic_data`: family A's is keyed by the splitting of 2 in K+,
+family B's by the matched pattern ``ClassKind.b_case`` and q mod 2.
+For family B, 2 always ramifies in K+.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .classify import ClassKind, Family, PRankClass, _require_irreducible_family, p_rank_class
+from .classify import (
+    B_CASE_1_MINUS_2Q,
+    B_CASE_2_MINUS_2Q,
+    B_CASE_MINUS_Q,
+    ClassKind,
+    Family,
+    _require_irreducible_family,
+)
 from .core import WeilQuartic, squarefree_part
 
 
@@ -116,65 +123,57 @@ def splitting_2_in_Kplus(f: WeilQuartic) -> Split2:
 def is_K_over_Kplus_ramified(f: WeilQuartic, kind: ClassKind) -> bool:
     """True iff some finite prime of K+ ramifies in K.
 
-    Happens exactly for family B with b = 2-2q and q odd; never for
-    family A.
+    Happens exactly for the family B pattern b = 2-2q, whose p > 2
+    makes q odd; never for family A.
     """
     _require_irreducible_family(kind, "is_K_over_Kplus_ramified")
-    if kind.family is Family.PIRR_A:
-        return False
-    return f.b == 2 - 2 * f.q and f.q % 2 == 1
+    return kind.b_case == B_CASE_2_MINUS_2Q
 
 
-def shape_2_in_K(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) -> Shape2:
-    """Factorisation shape of 2 in K.
+def shape_2_in_K(f: WeilQuartic, kind: ClassKind) -> Shape2:
+    """Factorisation shape of 2 in K, as :func:`two_adic_data` decides it."""
+    return two_adic_data(f, kind).shape2_K
 
-    Family A (2 unramified in K/K+): the splitting of 2 in K+ decides
-    everything.  Inert gives two conjugate primes of residue degree 2;
-    split gives two self-conjugate primes of residue degree 2; ramified
-    gives a single self-conjugate prime with e = 2, f = 2.
 
-    Family B (2 ramifies in K+, unique prime m above 2): m is totally
-    ramified in K exactly when b = 2-2q with q odd; m splits in K
-    exactly for the ordinary classes with q even; in every other case
-    (ordinary b = 1-2q with q odd, and all supersingular classes) m is
-    inert in K.
+# Family A: 2 is unramified in K/K+, so its splitting in K+ decides the shape.
+_SHAPE_A = {
+    Split2.INERT: Shape2(((1, 2, 2),), ConjugationTag.CONJUGATE_PAIR),
+    Split2.SPLIT: Shape2(((1, 2, 2),), ConjugationTag.EACH_SELF_CONJUGATE),
+    Split2.RAMIFIED: Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
+}
 
-    ``split2`` is the splitting of 2 in K+ when the caller already has
-    it; family A otherwise derives it with :func:`splitting_2_in_Kplus`.
-    """
-    _require_irreducible_family(kind, "shape_2_in_K")
-    if kind.family is Family.PIRR_A:
-        symbol = split2 if split2 is not None else splitting_2_in_Kplus(f)
-        if symbol is Split2.INERT:
-            return Shape2(((1, 2, 2),), ConjugationTag.CONJUGATE_PAIR)
-        if symbol is Split2.SPLIT:
-            return Shape2(((1, 2, 2),), ConjugationTag.EACH_SELF_CONJUGATE)
-        return Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE)
-    if is_K_over_Kplus_ramified(f, kind):
-        return Shape2(((4, 1, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE)
-    ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
-    if ordinary and f.q % 2 == 0:
-        return Shape2(((2, 1, 2),), ConjugationTag.CONJUGATE_PAIR)
-    return Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE)
+# Family B, keyed by (matched pattern, q mod 2): 2 ramifies in K+, and the
+# one prime above it is totally ramified (b = 2-2q), split or inert in K.
+_SHAPE_B = {
+    (B_CASE_1_MINUS_2Q, 1): Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
+    (B_CASE_1_MINUS_2Q, 0): Shape2(((2, 1, 2),), ConjugationTag.CONJUGATE_PAIR),
+    (B_CASE_2_MINUS_2Q, 1): Shape2(((4, 1, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
+    (B_CASE_MINUS_Q, 1): Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
+    (B_CASE_MINUS_Q, 0): Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
+}
 
 
 def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     """Bundle of the 2-adic invariants of an irreducible family member.
 
     The discriminant of f+ is factorised once; its squarefree part d
-    gives the splitting of 2 in K+, which is handed on to
-    :func:`shape_2_in_K` rather than derived again.  The kind is checked
-    first, so an Outside class raises WrongKind whatever its discriminant.
+    gives the splitting of 2 in K+.  The shape of 2 in K comes from
+    ``_SHAPE_A`` or ``_SHAPE_B``.  The kind is checked first, so an
+    Outside class raises WrongKind whatever its discriminant.
     """
     _require_irreducible_family(kind, "two_adic_data")
     delta, c, d = _squarefree_discriminant(f)
     split2 = _split2_from_d(d)
+    if kind.family is Family.PIRR_A:
+        shape = _SHAPE_A[split2]
+    else:
+        shape = _SHAPE_B[kind.b_case, f.q % 2]
     return TwoAdicData(
         fplus_coeffs=f.fplus_coefficients(),
         delta=delta,
         c=c,
         d=d,
         split2_Kplus=split2,
-        K_over_Kplus_ramified=is_K_over_Kplus_ramified(f, kind),
-        shape2_K=shape_2_in_K(f, kind, split2),
+        K_over_Kplus_ramified=kind.b_case == B_CASE_2_MINUS_2Q,
+        shape2_K=shape,
     )

@@ -3,12 +3,13 @@
 For a simple abelian surface, carrying a polarisation of degree 4 is
 equivalent to containing an irreducible curve of arithmetic genus 3, so
 for family A and B classes the genus-3 question reduces to a degree-4
-polarisation test:
+polarisation test, decided in :func:`genus3_verdict`:
 
     family A: no degree-4 polarisation anywhere in the class
               iff 2 is inert in K+;
-    family B: no degree-4 polarisation anywhere in the class
-              iff (ordinary, b = 1-2q, q odd) or (supersingular, q even).
+    family B: read from ``_VERDICT_B`` by the matched coefficient pattern
+              and the parity of q; there is none exactly for
+              (b = 1-2q, q odd) and (b = -q, q even).
 
 The two special classes (t^2-2)^2 and (t^2-3)^2 are settled directly:
 the first contains no curve of geometric genus 3 at all, the second
@@ -23,16 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import (
+    B_CASE_1_MINUS_2Q,
+    B_CASE_2_MINUS_2Q,
+    B_CASE_MINUS_Q,
+    B_CASE_SPECIAL_Q2,
+    B_CASE_SPECIAL_Q3,
     ClassKind,
     Family,
-    PRankClass,
     WrongKind,
     _require_irreducible_family,
-    family_b_case,
-    p_rank_class,
 )
 from .core import WeilQuartic
-from .two_adic import Split2, splitting_2_in_Kplus
+from .two_adic import Split2, TwoAdicData, two_adic_data
 
 SPECIAL_Q3_WITNESS = "y^4+xz^3+2x^3z"
 _SPECIAL_NOTE = "degree-4 polarisation criterion not applied; class settled by direct genus-3 search"
@@ -44,6 +47,19 @@ RULE_B_SUPERSINGULAR = "PirrB-supersingular-parity"
 RULE_SPECIAL_Q2 = "Special-Q2"
 RULE_SPECIAL_Q3 = "Special-Q3"
 
+# Family B, keyed by (matched pattern, q mod 2): (degree-4 polarisation
+# exists, rule).  b = 2-2q needs p > 2, so it has no even-q row.
+_VERDICT_B = {
+    (B_CASE_1_MINUS_2Q, 1): (False, RULE_B_ORDINARY),
+    (B_CASE_1_MINUS_2Q, 0): (True, RULE_B_ORDINARY),
+    (B_CASE_2_MINUS_2Q, 1): (True, RULE_B_ORDINARY),
+    (B_CASE_MINUS_Q, 1): (True, RULE_B_SUPERSINGULAR),
+    (B_CASE_MINUS_Q, 0): (False, RULE_B_SUPERSINGULAR),
+}
+
+# the specials carry no b_case of their own; their family names the pattern
+_SPECIAL_B_CASE = {Family.SPECIAL_Q2: B_CASE_SPECIAL_Q2, Family.SPECIAL_Q3: B_CASE_SPECIAL_Q3}
+
 
 @dataclass(frozen=True)
 class Genus3Verdict:
@@ -51,7 +67,9 @@ class Genus3Verdict:
 
     ``deg4_polarisation_exists`` is None for the two special classes,
     which are settled without the polarisation criterion.  For family A
-    and B the two booleans coincide.
+    and B the two booleans coincide, and ``two_adic`` holds the 2-adic
+    data the verdict was read from (its d gives the d mod 8 residue of
+    the family A rule); it is None for the two specials.
     """
 
     deg4_polarisation_exists: bool | None
@@ -59,6 +77,7 @@ class Genus3Verdict:
     rule: str
     witness: str | None = None
     note: str | None = None
+    two_adic: TwoAdicData | None = None
 
 
 def _require_family_member(kind: ClassKind, operation: str) -> None:
@@ -66,27 +85,14 @@ def _require_family_member(kind: ClassKind, operation: str) -> None:
         raise WrongKind(f"{operation} is not defined for Outside classes")
 
 
-def degree4_polarisation_exists(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) -> bool:
-    """Does some surface in the class admit a polarisation of degree 4?
-
-    ``split2`` is the splitting of 2 in K+ when the caller already has
-    it; family A otherwise derives it with :func:`splitting_2_in_Kplus`.
-    """
+def degree4_polarisation_exists(f: WeilQuartic, kind: ClassKind) -> bool:
+    """Does some surface in the class admit a polarisation of degree 4?"""
     _require_irreducible_family(kind, "degree4_polarisation_exists")
-    if kind.family is Family.PIRR_A:
-        symbol = split2 if split2 is not None else splitting_2_in_Kplus(f)
-        return symbol is not Split2.INERT
-    if p_rank_class(f, kind) is PRankClass.ORDINARY:
-        return not (f.b == 1 - 2 * f.q and f.q % 2 == 1)
-    return f.q % 2 == 1
+    return genus3_verdict(f, kind).deg4_polarisation_exists
 
 
-def genus3_verdict(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None) -> Genus3Verdict:
-    """Class-level genus-3 verdict with rule provenance.
-
-    ``split2``, the splitting of 2 in K+ if the caller already has it,
-    is passed on to :func:`degree4_polarisation_exists`.
-    """
+def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:
+    """Class-level genus-3 verdict with rule provenance and 2-adic data."""
     _require_family_member(kind, "genus3_verdict")
     if kind.family is Family.SPECIAL_Q2:
         return Genus3Verdict(
@@ -103,17 +109,17 @@ def genus3_verdict(f: WeilQuartic, kind: ClassKind, split2: Split2 | None = None
             witness=SPECIAL_Q3_WITNESS,
             note=_SPECIAL_NOTE,
         )
-    exists = degree4_polarisation_exists(f, kind, split2)
+    data = two_adic_data(f, kind)
     if kind.family is Family.PIRR_A:
+        exists = data.split2_Kplus is not Split2.INERT
         rule = RULE_A_NONINERT if exists else RULE_A_INERT
-    elif p_rank_class(f, kind) is PRankClass.ORDINARY:
-        rule = RULE_B_ORDINARY
     else:
-        rule = RULE_B_SUPERSINGULAR
+        exists, rule = _VERDICT_B[kind.b_case, f.q % 2]
     return Genus3Verdict(
         deg4_polarisation_exists=exists,
         genus3_curve_exists=exists,
         rule=rule,
+        two_adic=data,
     )
 
 
@@ -131,8 +137,7 @@ def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> str:
     if kind.family is Family.PIRR_A:
         clause = "a"
     else:
-        # the specials carry no b_case of their own; their pattern is matched afresh
-        clause = f"b:{kind.b_case or family_b_case(f)}"
+        clause = f"b:{kind.b_case or _SPECIAL_B_CASE[kind.family]}"
     asserted = "true" if f.p > 2 else "unasserted"
     return (
         f"clause={clause};not_hyperelliptic={asserted}"

@@ -3,7 +3,7 @@
 The record's fields must equal what the single-function public calls
 give on their own, and one record of a family A or B member must make
 exactly one squarefree decomposition and at most one irreducibility
-test.
+test.  The 2-adic data is worked out once, inside the genus-3 verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from weillab import (
     shape_2_in_K,
     splitting_2_in_Kplus,
     squarefree_part,
+    two_adic_data,
 )
 from weillab.classify import Family, classify
 
@@ -97,3 +98,36 @@ def test_outside_record_tests_irreducibility_once(monkeypatch):
     assert record.class_kind == "Outside"
     assert counts["squarefree_part"] == 1
     assert counts["is_irreducible_over_Q"] == 1
+
+
+@pytest.mark.parametrize(
+    "q, a, b, calls",
+    [
+        (8, 1, -7, 1),  # PirrA
+        (7, 0, -13, 1),  # PirrB
+        (2, 0, -4, 0),  # SpecialQ2
+        (3, 0, -6, 0),  # SpecialQ3
+        (7, 1, 1, 0),  # Outside
+    ],
+)
+def test_one_two_adic_data_call_per_family_record(monkeypatch, q, a, b, calls):
+    f = make_weil_quartic(q, a, b)
+    kind = classify(f)
+    counts = _count_calls(monkeypatch, two_adic_data)
+    build_record(f, kind)
+    assert counts["two_adic_data"] == calls
+
+
+def test_verdict_carries_the_two_adic_data_it_was_read_from():
+    inert_rules = 0
+    for f, kind in (member for q in prime_powers_up_to(512) for member in enumerate_classes(q)):
+        verdict = genus3_verdict(f, kind)
+        if not kind.is_irreducible_family:
+            assert verdict.two_adic is None
+            continue
+        assert verdict.two_adic == two_adic_data(f, kind)
+        if kind.family is Family.PIRR_A:
+            inert = verdict.two_adic.d % 8 == 5
+            assert (verdict.rule == "PirrA-inert") == inert, (f.q, f.a, f.b)
+            inert_rules += inert
+    assert inert_rules > 0
