@@ -45,8 +45,6 @@ from .two_adic import (
     Split2,
     TwoAdicData,
     fplus_discriminant,
-    is_K_over_Kplus_ramified,
-    shape_2_in_K,
     splitting_2_in_Kplus,
     two_adic_data,
 )
@@ -54,7 +52,6 @@ from .verdict import (
     Genus3Verdict,
     SPECIAL_Q3_WITNESS,
     curve_shape_constraints,
-    degree4_polarisation_exists,
     genus3_verdict,
 )
 
@@ -83,13 +80,11 @@ __all__ = [
     "build_record",
     "classify",
     "curve_shape_constraints",
-    "degree4_polarisation_exists",
     "enumerate_classes",
     "floor_2sqrt",
     "fplus_discriminant",
     "genus3_verdict",
     "genus_bounds_on_surface",
-    "is_K_over_Kplus_ramified",
     "is_irreducible_over_Q",
     "make_weil_quartic",
     "non_pp_bounds",
@@ -98,7 +93,6 @@ __all__ = [
     "records_for_q",
     "render_label",
     "serre_weil_interval",
-    "shape_2_in_K",
     "splitting_2_in_Kplus",
     "squarefree_part",
     "two_adic_data",

@@ -44,12 +44,6 @@ class PointBounds:
     raw_lo: int
     note: str | None = None
 
-    def __contains__(self, count: int) -> bool:
-        return self.lo <= count <= self.hi
-
-    def contains_interval(self, other: "PointBounds") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def _require_prime_power(q: int) -> None:
     if prime_power_decomposition(q) is None:

@@ -25,8 +25,8 @@ from collections import Counter
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .core import (
     InternalInvariantError,
+    label_coefficients,
     make_weil_quartic,
-    parse_label,
     prime_power_decomposition,
     render_label,
 )
@@ -112,14 +112,6 @@ def _check_q(q: int, bound: int) -> None:
         raise ValueError(f"q={q} exceeds the safe bound {bound}")
 
 
-def _check_label_q(label: str, bound: int) -> None:
-    # guard q before parse_label factorises it; other malformed text is left to the parser
-    head, _, rest = label.partition(".")
-    q_text = rest.partition(".")[0]
-    if head == "2" and q_text.isascii() and q_text.isdigit():
-        _check_q(int(q_text), bound)
-
-
 def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     bound = _resolve_bound(args)
     by_coeffs = args.q is not None or args.a is not None or args.b is not None
@@ -127,14 +119,14 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     if by_coeffs == by_label:
         raise ValueError("provide either --q/--a/--b or --label")
     if by_label:
-        _check_label_q(args.label, bound)
-        f = parse_label(args.label)
+        q, a, b = label_coefficients(args.label)
     else:
         if args.q is None or args.a is None or args.b is None:
             raise ValueError("coefficient form needs all of --q, --a and --b")
-        _check_q(args.q, bound)
-        f = make_weil_quartic(args.q, args.a, args.b)
-    record = build_record(f)
+        q, a, b = args.q, args.a, args.b
+    # guard q before make_weil_quartic factorises it
+    _check_q(q, bound)
+    record = build_record(make_weil_quartic(q, a, b))
     out.write(to_json_line(record) + "\n")
     return 0
 
@@ -260,12 +252,11 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
             q, a, b = (int(part) for part in parts)
         except ValueError:
             raise ValueError(f"--encode expects three integers, got {args.encode!r}")
-        _check_q(q, bound)
-        out.write(render_label(make_weil_quartic(q, a, b)) + "\n")
-        return 0
-    _check_label_q(args.decode, bound)
-    f = parse_label(args.decode)
-    out.write(f"q={f.q} a={f.a} b={f.b}\n")
+    else:
+        q, a, b = label_coefficients(args.decode)
+    _check_q(q, bound)
+    f = make_weil_quartic(q, a, b)
+    out.write(render_label(f) + "\n" if args.encode is not None else f"q={f.q} a={f.a} b={f.b}\n")
     return 0
 
 

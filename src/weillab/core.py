@@ -153,10 +153,6 @@ class WeilQuartic:
         """Coefficients (1, a, b, a*q, q^2), highest degree first."""
         return (1, self.a, self.b, self.a * self.q, self.q * self.q)
 
-    def fplus_coefficients(self) -> tuple[int, int]:
-        """(a, b - 2q), the non-leading coefficients of the real quadratic factor."""
-        return (self.a, self.b - 2 * self.q)
-
     def __str__(self) -> str:
         terms = []
         for coeff, power in zip(self.coefficients(), (4, 3, 2, 1, 0)):
@@ -294,15 +290,13 @@ def render_label(f: WeilQuartic) -> str:
     return f"2.{f.q}.{_encode_coefficient(f.a)}_{_encode_coefficient(f.b)}"
 
 
-def parse_label(text: str) -> WeilQuartic:
-    """Inverse of render_label; raises MalformedLabel on structural errors.
+def label_coefficients(text: str) -> tuple[int, int, int]:
+    """(q, a, b) of a label; raises MalformedLabel on structural errors.
 
-    Only the canonical text is accepted, so render_label(parse_label(s))
-    == s whenever parsing succeeds: q is ASCII decimal with no leading
-    zero, and each coefficient code has no leading zero digit.
-
-    Validity errors of the decoded coefficients propagate as
-    NotPrimePower and NotWeil.
+    Only the canonical text is accepted, so a label renders back to the
+    same text: q is ASCII decimal with no leading zero, and each
+    coefficient code has no leading zero digit.  Nothing is factorised
+    or validated, so a caller can bound q first.
     """
     parts = text.split(".")
     if len(parts) != 3:
@@ -317,6 +311,15 @@ def parse_label(text: str) -> WeilQuartic:
     codes = coeffs.split("_")
     if len(codes) != 2:
         raise MalformedLabel(f"label {text!r} does not carry exactly two coefficients")
+    try:
+        q = int(q_text)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise MalformedLabel(f"label {text!r} has a field size too long to convert") from None
     a = _decode_coefficient(codes[0])
     b = _decode_coefficient(codes[1])
-    return make_weil_quartic(int(q_text), a, b)
+    return q, a, b
+
+
+def parse_label(text: str) -> WeilQuartic:
+    """Inverse of render_label; raises as label_coefficients, then NotPrimePower or NotWeil."""
+    return make_weil_quartic(*label_coefficients(text))

@@ -124,10 +124,3 @@ def to_json_obj(record: ClassRecord) -> dict:
 
 def to_json_line(record: ClassRecord) -> str:
     return json.dumps(to_json_obj(record), separators=(", ", ": "))
-
-
-def from_json_obj(obj: dict) -> ClassRecord:
-    missing = [name for name in FIELD_NAMES if name not in obj]
-    if missing:
-        raise ValueError(f"record object is missing fields {missing}")
-    return ClassRecord(**{name: obj[name] for name in FIELD_NAMES})

@@ -64,9 +64,6 @@ class Shape2:
     factors: tuple[tuple[int, int, int], ...]
     conjugation: ConjugationTag
 
-    def total(self) -> int:
-        return sum(e * fr * mult for e, fr, mult in self.factors)
-
     def __str__(self) -> str:
         body = ";".join(f"(e={e},f={fr})x{mult}" for e, fr, mult in self.factors)
         return f"{body};{self.conjugation.value}"
@@ -74,7 +71,6 @@ class Shape2:
 
 @dataclass(frozen=True)
 class TwoAdicData:
-    fplus_coeffs: tuple[int, int]
     delta: int
     c: int
     d: int
@@ -120,21 +116,6 @@ def splitting_2_in_Kplus(f: WeilQuartic) -> Split2:
     return _split2_from_d(d)
 
 
-def is_K_over_Kplus_ramified(f: WeilQuartic, kind: ClassKind) -> bool:
-    """True iff some finite prime of K+ ramifies in K.
-
-    Happens exactly for the family B pattern b = 2-2q, whose p > 2
-    makes q odd; never for family A.
-    """
-    _require_irreducible_family(kind, "is_K_over_Kplus_ramified")
-    return kind.b_case == B_CASE_2_MINUS_2Q
-
-
-def shape_2_in_K(f: WeilQuartic, kind: ClassKind) -> Shape2:
-    """Factorisation shape of 2 in K, as :func:`two_adic_data` decides it."""
-    return two_adic_data(f, kind).shape2_K
-
-
 # Family A: 2 is unramified in K/K+, so its splitting in K+ decides the shape.
 _SHAPE_A = {
     Split2.INERT: Shape2(((1, 2, 2),), ConjugationTag.CONJUGATE_PAIR),
@@ -159,7 +140,8 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     The discriminant of f+ is factorised once; its squarefree part d
     gives the splitting of 2 in K+.  The shape of 2 in K comes from
     ``_SHAPE_A`` or ``_SHAPE_B``.  The kind is checked first, so an
-    Outside class raises WrongKind whatever its discriminant.
+    Outside class raises WrongKind whatever its discriminant.  K/K+ is
+    ramified exactly for the family B pattern b = 2-2q, whose p > 2.
     """
     _require_irreducible_family(kind, "two_adic_data")
     delta, c, d = _squarefree_discriminant(f)
@@ -169,7 +151,6 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     else:
         shape = _SHAPE_B[kind.b_case, f.q % 2]
     return TwoAdicData(
-        fplus_coeffs=f.fplus_coefficients(),
         delta=delta,
         c=c,
         d=d,

@@ -32,7 +32,6 @@ from .classify import (
     ClassKind,
     Family,
     WrongKind,
-    _require_irreducible_family,
 )
 from .core import WeilQuartic
 from .two_adic import Split2, TwoAdicData, two_adic_data
@@ -83,12 +82,6 @@ class Genus3Verdict:
 def _require_family_member(kind: ClassKind, operation: str) -> None:
     if kind.family is Family.OUTSIDE:
         raise WrongKind(f"{operation} is not defined for Outside classes")
-
-
-def degree4_polarisation_exists(f: WeilQuartic, kind: ClassKind) -> bool:
-    """Does some surface in the class admit a polarisation of degree 4?"""
-    _require_irreducible_family(kind, "degree4_polarisation_exists")
-    return genus3_verdict(f, kind).deg4_polarisation_exists
 
 
 def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:

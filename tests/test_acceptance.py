@@ -149,7 +149,7 @@ def test_criterion_3_kummer_dedekind_agreement():
             "irreducible": Split2.INERT,
             "split": Split2.SPLIT,
             "ramified": Split2.RAMIFIED,
-        }[fplus_mod2_shape(*f.fplus_coefficients())]
+        }[fplus_mod2_shape(f.a, f.b - 2 * f.q)]
         assert splitting_2_in_Kplus(f) is expected, (f.q, f.a, f.b)
     assert checked > 0
 
@@ -213,9 +213,10 @@ def test_criterion_6_bounds():
     assert (wres4.lo, wres4.hi) == (1, 9)
     for q in prime_powers_up_to(512):
         envelope = serre_weil_interval(q, 3)
-        assert envelope.contains_interval(weil_restriction_bounds(q))
-        assert envelope.contains_interval(non_pp_bounds(q))
-        assert weil_restriction_bounds(q).radius < envelope.radius
+        wres, nonpp = weil_restriction_bounds(q), non_pp_bounds(q)
+        assert envelope.lo <= wres.lo and wres.hi <= envelope.hi
+        assert envelope.lo <= nonpp.lo and nonpp.hi <= envelope.hi
+        assert wres.radius < envelope.radius
 
 
 @_report(7, "full enumeration q <= 10^4 under 60 s, byte-identical across threads")

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from weillab.cli import main, prime_powers_in_range
-from weillab.records import FIELD_NAMES, from_json_obj, to_json_obj
+from weillab.records import FIELD_NAMES, ClassRecord, to_json_obj
 
 
 def run_cli(capsys, *argv):
@@ -97,7 +97,7 @@ def test_enumerate_json_round_trips(capsys):
     assert code == 0
     for line in out.splitlines():
         obj = json.loads(line)
-        record = from_json_obj(obj)
+        record = ClassRecord(**obj)
         assert to_json_obj(record) == obj
 
 
@@ -243,6 +243,30 @@ def test_non_canonical_label_exits_1(capsys, command, label):
 @pytest.mark.parametrize("command", ["classify --label", "label --decode"])
 def test_label_safe_bound(capsys, command):
     code, _, err = run_cli(capsys, *command.split(), "2.101.a_ahb", "--safe-bound", "100")
+    assert code == 1
+    assert "safe bound" in err
+
+
+BIG_Q = 10**39 + 7  # 40 digits: far past any safe bound, and beyond factorising by trial division
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--label", f"2.{BIG_Q}.a_a"],
+        ["label", "--decode", f"2.{BIG_Q}.a_a"],
+        ["label", "--encode", f"{BIG_Q},0,0"],
+        ["classify", "--q", str(BIG_Q), "--a", "0", "--b", "0"],
+    ],
+    ids=["classify-label", "label-decode", "label-encode", "classify-q"],
+)
+def test_safe_bound_is_checked_before_q_is_factorised(capsys, monkeypatch, argv):
+    # a guard that ran after make_weil_quartic would exit 2 here, not 1
+    def refuse(q):
+        raise AssertionError(f"q={q} was factorised before the safe-bound check")
+
+    monkeypatch.setattr("weillab.core.prime_power_decomposition", refuse)
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "safe bound" in err
 

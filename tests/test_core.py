@@ -228,6 +228,8 @@ def test_label_round_trip_multi_digit():
         "2.2.aa_ab",
         "2.2.a_a1",
         "2.2._ab",
+        # more digits than int() converts: a ValueError that is not MalformedLabel unless caught
+        pytest.param("2." + "1" * 5000 + ".a_a", id="q-with-5000-digits"),
     ],
 )
 def test_parse_label_malformed(text):

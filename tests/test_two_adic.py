@@ -12,13 +12,12 @@ from weillab import (
     classify,
     enumerate_classes,
     fplus_discriminant,
-    is_K_over_Kplus_ramified,
     make_weil_quartic,
     p_rank_class,
-    shape_2_in_K,
     splitting_2_in_Kplus,
     two_adic_data,
 )
+from weillab.two_adic import _SHAPE_A, _SHAPE_B
 from oracles import fplus_mod2_shape, gf2_factor_names, prime_powers_up_to, trial_squarefree
 
 SWEEP_LIMIT = 100
@@ -92,23 +91,23 @@ def test_splitting_decided_by_d_on_members():
 
 def test_ramification_examples():
     f, kind = _kind(7, 0, -12)
-    assert is_K_over_Kplus_ramified(f, kind) is True
+    assert two_adic_data(f, kind).K_over_Kplus_ramified is True
     g, g_kind = _kind(7, 0, -13)
-    assert is_K_over_Kplus_ramified(g, g_kind) is False
+    assert two_adic_data(g, g_kind).K_over_Kplus_ramified is False
     h, h_kind = _kind(8, 1, -7)
-    assert is_K_over_Kplus_ramified(h, h_kind) is False
+    assert two_adic_data(h, h_kind).K_over_Kplus_ramified is False
 
 
 def test_ramification_rejects_specials():
     f, kind = _kind(2, 0, -4)
     with pytest.raises(WrongKind):
-        is_K_over_Kplus_ramified(f, kind)
+        two_adic_data(f, kind)
 
 
 def test_ramified_members_are_ordinary_with_fourth_power_reduction():
     seen = 0
     for f, kind in _members():
-        if not is_K_over_Kplus_ramified(f, kind):
+        if not two_adic_data(f, kind).K_over_Kplus_ramified:
             continue
         seen += 1
         assert p_rank_class(f, kind) is PRankClass.ORDINARY
@@ -128,13 +127,13 @@ def test_family_b_always_ramifies_in_Kplus():
 
 def test_shape_examples():
     f, kind = _kind(7, 0, -12)
-    assert shape_2_in_K(f, kind).factors == ((4, 1, 1),)
+    assert two_adic_data(f, kind).shape2_K.factors == ((4, 1, 1),)
     g, g_kind = _kind(7, 0, -13)
-    assert shape_2_in_K(g, g_kind).factors == ((2, 2, 1),)
+    assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
     h, h_kind = _kind(2, 0, -3)
-    assert shape_2_in_K(h, h_kind).factors == ((2, 1, 2),)
+    assert two_adic_data(h, h_kind).shape2_K.factors == ((2, 1, 2),)
     k, k_kind = _kind(8, 1, -7)
-    shape = shape_2_in_K(k, k_kind)
+    shape = two_adic_data(k, k_kind).shape2_K
     assert shape.factors == ((1, 2, 2),)
     assert shape.conjugation is ConjugationTag.CONJUGATE_PAIR
 
@@ -143,21 +142,28 @@ def test_shape_supersingular_members_inert():
     # the unique prime of K+ above 2 stays inert in K for every
     # supersingular Weil-restriction class, whatever the parity of q
     f, kind = _kind(2, 0, -2)
-    assert shape_2_in_K(f, kind).factors == ((2, 2, 1),)
+    assert two_adic_data(f, kind).shape2_K.factors == ((2, 2, 1),)
     g, g_kind = _kind(9, 0, -9)
-    assert shape_2_in_K(g, g_kind).factors == ((2, 2, 1),)
+    assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
+
+
+def _degree(shape):
+    return sum(e * fr * count for e, fr, count in shape.factors)
 
 
 def test_shape_totals_are_4():
+    # e*f summed over the primes above 2 is [K:Q] = 4 for every table row
+    for shape in (*_SHAPE_A.values(), *_SHAPE_B.values()):
+        assert _degree(shape) == 4, shape
     for f, kind in _members():
-        assert shape_2_in_K(f, kind).total() == 4
+        assert _degree(two_adic_data(f, kind).shape2_K) == 4
 
 
 def test_family_b_shape_trichotomy_is_exhaustive():
     for f, kind in _members():
         if kind.family is not Family.PIRR_B:
             continue
-        shape = shape_2_in_K(f, kind)
+        shape = two_adic_data(f, kind).shape2_K
         assert shape.factors in (((4, 1, 1),), ((2, 2, 1),), ((2, 1, 2),))
 
 
@@ -169,7 +175,7 @@ def test_family_b_shape_against_mod2_reduction():
     for f, kind in _members():
         if kind.family is not Family.PIRR_B:
             continue
-        shape = shape_2_in_K(f, kind).factors
+        shape = two_adic_data(f, kind).shape2_K.factors
         reduction = gf2_factor_names(f.q, f.a, f.b)
         if reduction == {"t^2+t+1": 2}:
             assert shape == ((2, 2, 1),), (f.q, f.a, f.b)
@@ -188,7 +194,7 @@ def test_family_a_shape_follows_subfield_splitting():
     for f, kind in _members():
         if kind.family is not Family.PIRR_A:
             continue
-        shape = shape_2_in_K(f, kind)
+        shape = two_adic_data(f, kind).shape2_K
         symbol = splitting_2_in_Kplus(f)
         if symbol is Split2.INERT:
             assert shape.factors == ((1, 2, 2),)
@@ -212,7 +218,7 @@ def test_kummer_dedekind_agreement_odd_conductor():
         if c % 2 == 0:
             continue
         checked += 1
-        a, c0 = f.fplus_coefficients()
+        a, c0 = f.a, f.b - 2 * f.q
         shape = fplus_mod2_shape(a, c0)
         symbol = splitting_2_in_Kplus(f)
         expected = {
@@ -247,7 +253,7 @@ def test_family_a_even_trace_ramification_shortcut():
 def test_two_adic_data_bundle():
     f, kind = _kind(8, 1, -7)
     data = two_adic_data(f, kind)
-    assert data.fplus_coeffs == (1, -23)
+    assert data.delta == 1 * 1 - 4 * (-23)  # f+ = t^2 + t - 23
     assert data.delta == 93
     assert (data.c, data.d) == (1, 93)
     assert data.split2_Kplus is Split2.INERT

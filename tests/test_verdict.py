@@ -10,13 +10,12 @@ from weillab import (
     WrongKind,
     classify,
     curve_shape_constraints,
-    degree4_polarisation_exists,
     enumerate_classes,
     genus3_verdict,
     make_weil_quartic,
     p_rank_class,
-    shape_2_in_K,
     splitting_2_in_Kplus,
+    two_adic_data,
 )
 
 from oracles import prime_powers_up_to
@@ -50,16 +49,18 @@ def _members(limit):
 )
 def test_degree4_table(q, a, b, expected):
     f, kind = _kind(q, a, b)
-    assert degree4_polarisation_exists(f, kind) is expected
+    assert genus3_verdict(f, kind).deg4_polarisation_exists is expected
 
 
 def test_degree4_rejects_specials_and_outside():
+    # a special is settled without the criterion: no flag, and no 2-adic data to read one from
     f, kind = _kind(2, 0, -4)
+    assert genus3_verdict(f, kind).deg4_polarisation_exists is None
     with pytest.raises(WrongKind):
-        degree4_polarisation_exists(f, kind)
+        two_adic_data(f, kind)
     g, g_kind = _kind(2, 0, -1)
     with pytest.raises(WrongKind):
-        degree4_polarisation_exists(g, g_kind)
+        genus3_verdict(g, g_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,8 @@ def test_ordinary_family_b_verdict_matches_inert_shape():
             continue
         if p_rank_class(f, kind) is not PRankClass.ORDINARY:
             continue
-        inert = shape_2_in_K(f, kind).factors == ((2, 2, 1),)
-        assert degree4_polarisation_exists(f, kind) == (not inert), (f.q, f.a, f.b)
+        inert = two_adic_data(f, kind).shape2_K.factors == ((2, 2, 1),)
+        assert genus3_verdict(f, kind).deg4_polarisation_exists == (not inert), (f.q, f.a, f.b)
 
 
 def test_family_a_verdict_matches_subfield_splitting():
@@ -136,7 +137,7 @@ def test_family_a_verdict_matches_subfield_splitting():
         if kind.family is not Family.PIRR_A:
             continue
         inert = splitting_2_in_Kplus(f) is Split2.INERT
-        assert degree4_polarisation_exists(f, kind) == (not inert)
+        assert genus3_verdict(f, kind).deg4_polarisation_exists == (not inert)
 
 
 def test_verdicts_are_deterministic():
