@@ -3,7 +3,7 @@
 Classifies the isogeny classes carrying no curves of genus up to 2,
 decides whether a class contains a surface with a degree-4 polarisation
 (equivalently an irreducible curve of arithmetic genus 3), computes the
-2-adic field data driving that decision, and evaluates point-count
+2-adic field data driving that decision, and gives point-count
 intervals.  All computation is exact integer arithmetic.
 """
 
@@ -45,7 +45,6 @@ from .two_adic import (
     Split2,
     TwoAdicData,
     fplus_discriminant,
-    splitting_2_in_Kplus,
     two_adic_data,
 )
 from .verdict import (
@@ -93,7 +92,6 @@ __all__ = [
     "records_for_q",
     "render_label",
     "serre_weil_interval",
-    "splitting_2_in_Kplus",
     "squarefree_part",
     "two_adic_data",
     "weil_restriction_bounds",

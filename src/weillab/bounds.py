@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .core import NotPrimePower, ceil_sqrt, floor_2sqrt, prime_power_decomposition
+from .core import ceil_sqrt, floor_2sqrt, require_prime_power
 
 
 @unique
@@ -45,11 +45,6 @@ class PointBounds:
     note: str | None = None
 
 
-def _require_prime_power(q: int) -> None:
-    if prime_power_decomposition(q) is None:
-        raise NotPrimePower(f"q={q} is not a prime power")
-
-
 def _interval(center: int, radius: int, family: BoundFamily, note: str | None = None) -> PointBounds:
     raw_lo = center - radius
     return PointBounds(
@@ -65,7 +60,7 @@ def _interval(center: int, radius: int, family: BoundFamily, note: str | None = 
 
 def genus_bounds_on_surface(q: int, a: int, p_a: int) -> PointBounds:
     """Interval for a curve of arithmetic genus p_a on a surface of trace -a."""
-    _require_prime_power(q)
+    require_prime_power(q)
     if p_a < 1:
         raise ValueError(f"arithmetic genus must be >= 1, got {p_a}")
     radius = abs(p_a - 2) * floor_2sqrt(q)
@@ -74,7 +69,7 @@ def genus_bounds_on_surface(q: int, a: int, p_a: int) -> PointBounds:
 
 def weil_restriction_bounds(q: int) -> PointBounds:
     """Genus-3 interval on a Weil restriction; the trace is always 0."""
-    _require_prime_power(q)
+    require_prime_power(q)
     return _interval(q + 1, floor_2sqrt(q), BoundFamily.WEIL_RESTRICTION)
 
 
@@ -87,7 +82,7 @@ def non_pp_bounds(q: int, b: int | None = None) -> PointBounds:
     using a^2 = q - b and rounding the square root up to stay
     conservative.
     """
-    _require_prime_power(q)
+    require_prime_power(q)
     if b is None:
         return _interval(q + 1, 2 * floor_2sqrt(q), BoundFamily.NON_PP)
     if q - b < 0:
@@ -103,7 +98,7 @@ def non_pp_bounds(q: int, b: int | None = None) -> PointBounds:
 
 def serre_weil_interval(q: int, g: int) -> PointBounds:
     """The genus-g interval q + 1 +- g*floor(2*sqrt(q)) for comparison."""
-    _require_prime_power(q)
+    require_prime_power(q)
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
     return _interval(q + 1, g * floor_2sqrt(q), BoundFamily.SERRE_WEIL, note=f"g={g}")

@@ -31,11 +31,10 @@ from math import isqrt
 
 from .core import (
     InternalInvariantError,
-    NotPrimePower,
     WeilQuartic,
     is_irreducible_over_Q,
     make_weil_quartic,
-    prime_power_decomposition,
+    require_prime_power,
 )
 
 
@@ -64,7 +63,9 @@ B_CASE_SPECIAL_Q3 = "(q,b)=(3,-6)"
 class ClassKind:
     """Verdict of the family classification.
 
-    ``b_case`` is set for family B members only; ``reason`` for Outside.
+    ``b_case`` is the matched family B pattern, set for family B members
+    and for the two specials, which carry ``B_CASE_SPECIAL_Q2/Q3``;
+    ``reason`` is set for Outside.
     """
 
     family: Family
@@ -161,10 +162,10 @@ def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKi
         if in_a:
             return ClassKind(Family.PIRR_A)
         return ClassKind(Family.PIRR_B, b_case=b_case)
-    if (f.q, f.a, f.b) == (2, 0, -4):
-        return ClassKind(Family.SPECIAL_Q2)
-    if (f.q, f.a, f.b) == (3, 0, -6):
-        return ClassKind(Family.SPECIAL_Q3)
+    if b_case == B_CASE_SPECIAL_Q2:
+        return ClassKind(Family.SPECIAL_Q2, b_case=b_case)
+    if b_case == B_CASE_SPECIAL_Q3:
+        return ClassKind(Family.SPECIAL_Q3, b_case=b_case)
     raise InternalInvariantError(f"reducible family member {f} is not one of the two specials")
 
 
@@ -175,8 +176,7 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     b = a^2 - q; family B candidates come from its finite b list; the
     two specials occur only at q = 2 and q = 3.
     """
-    if prime_power_decomposition(q) is None:
-        raise NotPrimePower(f"q={q} is not a prime power")
+    require_prime_power(q)
     # candidate (a, b) -> whether it meets the family A condition; every
     # (a, b) with a^2 - b = q and b < 0 is trial-divided in the first loop
     candidates: dict[tuple[int, int], bool] = {}

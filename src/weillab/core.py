@@ -103,7 +103,12 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-@lru_cache(maxsize=None)
+# every call made for one q hits after the first, so a small cache serves
+# a range of any length and a long-lived process stays bounded
+PRIME_POWER_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PRIME_POWER_CACHE_SIZE)
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     """(p, r) with q = p^r, p prime, r >= 1; None if q is not a prime power."""
     if q < 2:
@@ -113,6 +118,14 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
         return None
     ((p, r),) = factors.items()
     return p, r
+
+
+def require_prime_power(q: int) -> tuple[int, int]:
+    """(p, r) with q = p^r; raises NotPrimePower if q is not a prime power."""
+    decomposition = prime_power_decomposition(q)
+    if decomposition is None:
+        raise NotPrimePower(f"q={q} is not a prime power")
+    return decomposition
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -149,24 +162,6 @@ class WeilQuartic:
     a: int
     b: int
 
-    def coefficients(self) -> tuple[int, int, int, int, int]:
-        """Coefficients (1, a, b, a*q, q^2), highest degree first."""
-        return (1, self.a, self.b, self.a * self.q, self.q * self.q)
-
-    def __str__(self) -> str:
-        terms = []
-        for coeff, power in zip(self.coefficients(), (4, 3, 2, 1, 0)):
-            if coeff == 0:
-                continue
-            mag = "" if (abs(coeff) == 1 and power > 0) else str(abs(coeff))
-            var = "" if power == 0 else ("t" if power == 1 else f"t^{power}")
-            sign = "-" if coeff < 0 else "+"
-            terms.append((sign, f"{mag}{var}"))
-        head_sign, head = terms[0]
-        rest = " ".join(f"{s} {t}" for s, t in terms[1:])
-        lead = f"-{head}" if head_sign == "-" else head
-        return f"{lead} {rest}".strip()
-
 
 def weil_validity_failure(q: int, a: int, b: int) -> str | None:
     """Name of the first failed root-location inequality, or None if valid."""
@@ -186,13 +181,10 @@ def make_weil_quartic(q: int, a: int, b: int) -> WeilQuartic:
     Raises NotPrimePower if q is not a prime power, NotWeil if some
     complex root would not have absolute value sqrt(q).
     """
-    decomposition = prime_power_decomposition(q)
-    if decomposition is None:
-        raise NotPrimePower(f"q={q} is not a prime power")
+    p, r = require_prime_power(q)
     failure = weil_validity_failure(q, a, b)
     if failure is not None:
         raise NotWeil(f"(q={q}, a={a}, b={b}): {failure}")
-    p, r = decomposition
     return WeilQuartic(q=q, p=p, r=r, a=a, b=b)
 
 
@@ -200,51 +192,18 @@ def make_weil_quartic(q: int, a: int, b: int) -> WeilQuartic:
 # irreducibility over the rationals
 
 
-def _divisors_of_q_squared(f: WeilQuartic) -> list[int]:
-    # q = p^r, so q^2 has exactly the divisors p^0 .. p^(2r)
-    return [f.p**i for i in range(2 * f.r + 1)]
-
-
-def evaluate(f: WeilQuartic, t: int) -> int:
-    c4, c3, c2, c1, c0 = f.coefficients()
-    return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
-
-
 def is_irreducible_over_Q(f: WeilQuartic) -> bool:
-    """True iff f has no monic integer factor of degree 1 or 2.
+    """True iff f has no monic rational factor of degree 1 or 2.
 
-    Any monic quadratic factor t^2 + u*t + v has v dividing the constant
-    term q^2, and the cofactor constant v' = q^2 / v; the remaining
-    coefficient comparisons then pin u, so the search is an exhaustive
-    walk over the (few) divisor pairs of q^2.  Linear factors are found
-    by the rational root test over the same divisors.
+    Every root has absolute value sqrt(q), so a rational quadratic factor
+    has constant term q or -q.  Constant q pairs a root alpha with
+    q/alpha, its conjugate, so f+ has a rational root and disc(f+) is a
+    square.  Constant -q gives f = (t^2+ut-q)(t^2-ut-q), so a = 0 and
+    b = -2q-u^2, and 2q+b >= 0 forces u = 0.  A linear factor t - s has
+    s = +-sqrt(q) rational, so 2s is a rational root of f+, as in the first case.
     """
     q, a, b = f.q, f.a, f.b
-    qq = q * q
-    divisors = _divisors_of_q_squared(f)
-    for m in divisors:
-        if evaluate(f, m) == 0 or evaluate(f, -m) == 0:
-            return False
-    for v0 in divisors:
-        for v in (v0, -v0):
-            vp = qq // v
-            if v == vp:
-                # cofactor constant equals v; v = -q additionally forces a = 0
-                if v == -q and a != 0:
-                    continue
-                # u + u' = a and u*u' = b - 2v need integer solutions
-                disc = a * a - 4 * (b - 2 * v)
-                if disc >= 0 and is_square(disc):
-                    return False
-            else:
-                numerator = a * (q - v)
-                denominator = vp - v
-                if numerator % denominator:
-                    continue
-                u = numerator // denominator
-                if v + vp + u * (a - u) == b:
-                    return False
-    return True
+    return not (is_square(a * a - 4 * (b - 2 * q)) or (a == 0 and b == -2 * q))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
         b=f.b,
         label=render_label(f),
         class_kind=kind.family.value,
-        b_case=kind.b_case,
+        b_case=None if data is None else kind.b_case,
         ordinary=None if data is None else p_rank_class(f, kind) is PRankClass.ORDINARY,
         irreducible=is_irreducible_over_Q(f) if kind.family is Family.OUTSIDE else kind.is_irreducible_family,
         fplus_disc=delta,

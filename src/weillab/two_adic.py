@@ -84,36 +84,12 @@ def fplus_discriminant(f: WeilQuartic) -> int:
     return f.a * f.a - 4 * (f.b - 2 * f.q)
 
 
-def _squarefree_discriminant(f: WeilQuartic) -> tuple[int, int, int]:
-    """(delta, c, d) with delta = c^2 * d the discriminant of f+, d squarefree.
-
-    Raises DegenerateDiscriminant unless delta > 0 and d != 1.
-    """
-    delta = fplus_discriminant(f)
-    if delta <= 0:
-        raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
-    c, d = squarefree_part(delta)
-    if d == 1:
-        raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
-    return delta, c, d
-
-
 def _split2_from_d(d: int) -> Split2:
     if d % 8 == 5:
         return Split2.INERT
     if d % 8 == 1:
         return Split2.SPLIT
     return Split2.RAMIFIED
-
-
-def splitting_2_in_Kplus(f: WeilQuartic) -> Split2:
-    """Splitting symbol of 2 in K+ from the squarefree part of the discriminant.
-
-    Expects an irreducible member; d = 1 would mean f+ (hence f) is
-    reducible and signals an upstream classification bug.
-    """
-    _, _, d = _squarefree_discriminant(f)
-    return _split2_from_d(d)
 
 
 # Family A: 2 is unramified in K/K+, so its splitting in K+ decides the shape.
@@ -142,9 +118,15 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     ``_SHAPE_A`` or ``_SHAPE_B``.  The kind is checked first, so an
     Outside class raises WrongKind whatever its discriminant.  K/K+ is
     ramified exactly for the family B pattern b = 2-2q, whose p > 2.
+    Raises DegenerateDiscriminant unless delta > 0 and d != 1.
     """
     _require_irreducible_family(kind, "two_adic_data")
-    delta, c, d = _squarefree_discriminant(f)
+    delta = fplus_discriminant(f)
+    if delta <= 0:
+        raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
+    c, d = squarefree_part(delta)
+    if d == 1:
+        raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
     split2 = _split2_from_d(d)
     if kind.family is Family.PIRR_A:
         shape = _SHAPE_A[split2]

@@ -27,8 +27,6 @@ from .classify import (
     B_CASE_1_MINUS_2Q,
     B_CASE_2_MINUS_2Q,
     B_CASE_MINUS_Q,
-    B_CASE_SPECIAL_Q2,
-    B_CASE_SPECIAL_Q3,
     ClassKind,
     Family,
     WrongKind,
@@ -55,9 +53,6 @@ _VERDICT_B = {
     (B_CASE_MINUS_Q, 1): (True, RULE_B_SUPERSINGULAR),
     (B_CASE_MINUS_Q, 0): (False, RULE_B_SUPERSINGULAR),
 }
-
-# the specials carry no b_case of their own; their family names the pattern
-_SPECIAL_B_CASE = {Family.SPECIAL_Q2: B_CASE_SPECIAL_Q2, Family.SPECIAL_Q3: B_CASE_SPECIAL_Q3}
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> str:
     if kind.family is Family.PIRR_A:
         clause = "a"
     else:
-        clause = f"b:{kind.b_case or _SPECIAL_B_CASE[kind.family]}"
+        clause = f"b:{kind.b_case}"
     asserted = "true" if f.p > 2 else "unasserted"
     return (
         f"clause={clause};not_hyperelliptic={asserted}"

@@ -31,7 +31,7 @@ from weillab import (
     parse_label,
     render_label,
     serre_weil_interval,
-    splitting_2_in_Kplus,
+    two_adic_data,
     weil_restriction_bounds,
 )
 from weillab.cli import main as cli_main
@@ -150,7 +150,7 @@ def test_criterion_3_kummer_dedekind_agreement():
             "split": Split2.SPLIT,
             "ramified": Split2.RAMIFIED,
         }[fplus_mod2_shape(f.a, f.b - 2 * f.q)]
-        assert splitting_2_in_Kplus(f) is expected, (f.q, f.a, f.b)
+        assert two_adic_data(f, kind).split2_Kplus is expected, (f.q, f.a, f.b)
     assert checked > 0
 
 
@@ -201,7 +201,7 @@ def test_criterion_5_family_a_shortcuts():
             assert genus3_verdict(f, kind).genus3_curve_exists is False, (f.q, f.a, f.b)
         if f.a % 2 == 0 and (f.a + f.b) % 4 != 1:
             seen_even_trace += 1
-            assert splitting_2_in_Kplus(f) is Split2.RAMIFIED, (f.q, f.a, f.b)
+            assert two_adic_data(f, kind).split2_Kplus is Split2.RAMIFIED, (f.q, f.a, f.b)
     assert seen_even_q > 0 and seen_even_trace > 0
 
 

@@ -8,6 +8,7 @@ from weillab import (
     Family,
     PRankClass,
     WrongKind,
+    build_record,
     classify,
     enumerate_classes,
     is_irreducible_over_Q,
@@ -49,6 +50,11 @@ def test_classify_family_a():
 def test_classify_specials():
     assert classify(make_weil_quartic(2, 0, -4)).family is Family.SPECIAL_Q2
     assert classify(make_weil_quartic(3, 0, -6)).family is Family.SPECIAL_Q3
+    # each special carries its matched family B pattern; its record leaves the cell empty
+    for q, b, pattern in ((2, -4, "(q,b)=(2,-4)"), (3, -6, "(q,b)=(3,-6)")):
+        f = make_weil_quartic(q, 0, b)
+        assert classify(f).b_case == pattern
+        assert build_record(f).b_case is None
 
 
 def test_classify_family_b_case_tag():

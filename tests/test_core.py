@@ -16,7 +16,7 @@ from weillab import (
     render_label,
     squarefree_part,
 )
-from weillab.core import ceil_sqrt, weil_validity_failure
+from weillab.core import ceil_sqrt, prime_power_decomposition, weil_validity_failure
 
 from oracles import (
     companion_base_change,
@@ -49,6 +49,15 @@ def test_make_rejects_non_prime_power():
         make_weil_quartic(1, 0, 0)
     with pytest.raises(NotPrimePower):
         make_weil_quartic(0, 0, 0)
+
+
+def test_prime_power_cache_is_bounded():
+    maxsize = prime_power_decomposition.cache_info().maxsize
+    primes = [n for n in range(2, 10 * maxsize) if all(n % k for k in range(2, int(n**0.5) + 1))]
+    assert len(primes) > maxsize
+    for p in primes:
+        make_weil_quartic(p, 0, 0)
+    assert prime_power_decomposition.cache_info().currsize <= maxsize
 
 
 def test_prime_power_fields():

@@ -20,7 +20,6 @@ from weillab import (
     genus3_verdict,
     is_irreducible_over_Q,
     make_weil_quartic,
-    splitting_2_in_Kplus,
     squarefree_part,
     two_adic_data,
 )
@@ -42,7 +41,7 @@ def test_record_fields_equal_single_function_path():
         assert record.deg4_polarisation == verdict.deg4_polarisation_exists
         assert record.rule == verdict.rule
         if kind.is_irreducible_family:
-            assert record.split2_Kplus == splitting_2_in_Kplus(f).value
+            assert record.split2_Kplus == two_adic_data(f, kind).split2_Kplus.value
             assert record.shape2_K == str(two_adic_data(f, kind).shape2_K)
         else:
             assert record.split2_Kplus is None and record.shape2_K is None

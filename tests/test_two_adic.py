@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from weillab import (
+    ClassKind,
     ConjugationTag,
     DegenerateDiscriminant,
     Family,
@@ -14,7 +15,6 @@ from weillab import (
     fplus_discriminant,
     make_weil_quartic,
     p_rank_class,
-    splitting_2_in_Kplus,
     two_adic_data,
 )
 from weillab.two_adic import _SHAPE_A, _SHAPE_B
@@ -39,50 +39,59 @@ def _kind(q, a, b):
 # splitting of 2 in the real quadratic subfield
 
 
+def _split2(f, kind):
+    return two_adic_data(f, kind).split2_Kplus
+
+
+# the kind passed for classes outside both families: two_adic_data reads
+# the splitting from the discriminant alone
+NON_MEMBER = ClassKind(Family.PIRR_A)
+
+
 def test_splitting_examples():
-    assert splitting_2_in_Kplus(make_weil_quartic(8, 1, -7)) is Split2.INERT  # d = 93
-    assert splitting_2_in_Kplus(make_weil_quartic(5, 2, -1)) is Split2.RAMIFIED  # d = 3
-    assert splitting_2_in_Kplus(make_weil_quartic(7, 0, -13)) is Split2.RAMIFIED  # d = 3
+    assert _split2(*_kind(8, 1, -7)) is Split2.INERT  # d = 93
+    assert _split2(*_kind(5, 2, -1)) is Split2.RAMIFIED  # d = 3
+    assert _split2(*_kind(7, 0, -13)) is Split2.RAMIFIED  # d = 3
 
 
 def test_splitting_split_case():
     # (2, 0, -3): delta = 28, d = 7 = -1 mod 8
-    assert splitting_2_in_Kplus(make_weil_quartic(2, 0, -3)) is Split2.RAMIFIED
+    assert _split2(*_kind(2, 0, -3)) is Split2.RAMIFIED
     # find a genuine split example: d = 1 mod 8 needs d = 17, 33, ...
     # (13, 2, -9): delta = 4 - 4*(-9 - 26) = 144 + ... compute in test body
     f = make_weil_quartic(13, 2, -9)
     assert fplus_discriminant(f) == 144
     with pytest.raises(DegenerateDiscriminant):
-        splitting_2_in_Kplus(f)  # square discriminant, reducible real factor
+        _split2(f, NON_MEMBER)  # square discriminant, reducible real factor
     g = make_weil_quartic(17, 2, -13)
     assert fplus_discriminant(g) == 192  # d = 3
     h = make_weil_quartic(25, 4, -8)
     assert fplus_discriminant(h) == 248  # d = 62: 2 mod 4
-    assert splitting_2_in_Kplus(h) is Split2.RAMIFIED
+    assert _split2(h, NON_MEMBER) is Split2.RAMIFIED
     # q = 41, a = 0, b = -24: delta = 4*(2*41+24) = 424 = 4*106, d = 106
     k = make_weil_quartic(41, 0, -24)
     assert trial_squarefree(fplus_discriminant(k)) == (2, 106)
-    assert splitting_2_in_Kplus(k) is Split2.RAMIFIED
+    assert _split2(k, NON_MEMBER) is Split2.RAMIFIED
     m = make_weil_quartic(7, 3, 2)
     assert fplus_discriminant(m) == 57  # squarefree, 1 mod 8
-    assert splitting_2_in_Kplus(m) is Split2.SPLIT
+    assert _split2(m, NON_MEMBER) is Split2.SPLIT
 
 
 def test_degenerate_discriminant_rejected():
     # t^4 - 3t^2 + 9 = (t^2-3t+3)(t^2+3t+3): delta = 36 = 6^2
     with pytest.raises(DegenerateDiscriminant):
-        splitting_2_in_Kplus(make_weil_quartic(3, 0, -3))
+        _split2(make_weil_quartic(3, 0, -3), NON_MEMBER)
 
 
 def test_splitting_decided_by_d_on_members():
-    for f, _ in _members():
+    for f, kind in _members():
         _, d = trial_squarefree(fplus_discriminant(f))
         assert d > 1
         expected = (
             Split2.INERT if d % 8 == 5 else Split2.SPLIT if d % 8 == 1 else Split2.RAMIFIED
         )
         assert d % 4 in (1, 2, 3)
-        assert splitting_2_in_Kplus(f) is expected
+        assert _split2(f, kind) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +127,7 @@ def test_ramified_members_are_ordinary_with_fourth_power_reduction():
 def test_family_b_always_ramifies_in_Kplus():
     for f, kind in _members():
         if kind.family is Family.PIRR_B:
-            assert splitting_2_in_Kplus(f) is Split2.RAMIFIED, (f.q, f.a, f.b)
+            assert _split2(f, kind) is Split2.RAMIFIED, (f.q, f.a, f.b)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +204,7 @@ def test_family_a_shape_follows_subfield_splitting():
         if kind.family is not Family.PIRR_A:
             continue
         shape = two_adic_data(f, kind).shape2_K
-        symbol = splitting_2_in_Kplus(f)
+        symbol = _split2(f, kind)
         if symbol is Split2.INERT:
             assert shape.factors == ((1, 2, 2),)
             assert shape.conjugation is ConjugationTag.CONJUGATE_PAIR
@@ -213,14 +222,14 @@ def test_family_a_shape_follows_subfield_splitting():
 
 def test_kummer_dedekind_agreement_odd_conductor():
     checked = 0
-    for f, _ in _members():
+    for f, kind in _members():
         c, _ = trial_squarefree(fplus_discriminant(f))
         if c % 2 == 0:
             continue
         checked += 1
         a, c0 = f.a, f.b - 2 * f.q
         shape = fplus_mod2_shape(a, c0)
-        symbol = splitting_2_in_Kplus(f)
+        symbol = _split2(f, kind)
         expected = {
             "irreducible": Split2.INERT,
             "split": Split2.SPLIT,
@@ -237,13 +246,13 @@ def test_kummer_dedekind_agreement_odd_conductor():
 def test_family_a_even_q_is_inert():
     for f, kind in _members(512):
         if kind.family is Family.PIRR_A and f.q % 2 == 0:
-            assert splitting_2_in_Kplus(f) is Split2.INERT, (f.q, f.a, f.b)
+            assert _split2(f, kind) is Split2.INERT, (f.q, f.a, f.b)
 
 
 def test_family_a_even_trace_ramification_shortcut():
     for f, kind in _members(512):
         if kind.family is Family.PIRR_A and f.a % 2 == 0 and (f.a + f.b) % 4 != 1:
-            assert splitting_2_in_Kplus(f) is Split2.RAMIFIED, (f.q, f.a, f.b)
+            assert _split2(f, kind) is Split2.RAMIFIED, (f.q, f.a, f.b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from weillab import (
     genus3_verdict,
     make_weil_quartic,
     p_rank_class,
-    splitting_2_in_Kplus,
     two_adic_data,
 )
 
@@ -136,7 +135,7 @@ def test_family_a_verdict_matches_subfield_splitting():
     for f, kind in _members(100):
         if kind.family is not Family.PIRR_A:
             continue
-        inert = splitting_2_in_Kplus(f) is Split2.INERT
+        inert = two_adic_data(f, kind).split2_Kplus is Split2.INERT
         assert genus3_verdict(f, kind).deg4_polarisation_exists == (not inert)
 
 
@@ -166,7 +165,7 @@ def test_certificate_clause_a_vacuous():
 
 def test_certificate_clause_b():
     assert _cell(7, 0, -13)["clause"] == "b:b=1-2q"
-    # the special square carries no b_case; its pattern is matched afresh
+    # the special square carries its matched pattern in b_case
     assert _cell(2, 0, -4)["clause"] == "b:(q,b)=(2,-4)"
 
 
