@@ -31,6 +31,7 @@ from .core import (
     NotWeil,
     WeilQuartic,
     floor_2sqrt,
+    fplus_discriminant,
     is_irreducible_over_Q,
     make_weil_quartic,
     parse_label,
@@ -44,7 +45,6 @@ from .two_adic import (
     Shape2,
     Split2,
     TwoAdicData,
-    fplus_discriminant,
     two_adic_data,
 )
 from .verdict import (

@@ -35,6 +35,7 @@ from .core import (
     is_irreducible_over_Q,
     make_weil_quartic,
     require_prime_power,
+    trial_primes,
 )
 
 
@@ -84,23 +85,23 @@ class PRankClass(Enum):
 
 
 def prime_divisors_all_1_mod_3(m: int) -> bool:
-    """True iff every prime divisor of m >= 1 is congruent to 1 mod 3.
+    """True iff every prime divisor of 1 <= m < 2^40 is congruent to 1 mod 3.
 
-    Vacuously true for m = 1.  Early exit on the first bad prime.
+    Such primes are odd, so their products, m = 1 among them, are 1 mod 6;
+    any other m is rejected without a division.  Early exit on the first
+    bad prime.
     """
-    if m % 2 == 0 or m % 3 == 0:
-        return False if m > 1 else True
-    d = 5
-    step = 2
-    while d * d <= m:
-        if m % d == 0:
-            if d % 3 != 1:
+    if m % 6 != 1:
+        return False
+    for p in trial_primes(m):
+        if p * p > m:
+            break
+        if m % p == 0:
+            if p % 3 != 1:
                 return False
-            while m % d == 0:
-                m //= d
-        d += step
-        step = 6 - step  # skip multiples of 3
-    return m == 1 or m % 3 == 1
+            while m % p == 0:
+                m //= p
+    return m % 3 == 1
 
 
 def matches_family_a(f: WeilQuartic) -> bool:

@@ -7,9 +7,7 @@ Subcommands:
     label      label codec utilities
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
-The q guard defaults to 1000000 and can be overridden per call with
---safe-bound or globally with the WEILLAB_SAFE_BOUND environment
-variable.
+Every subcommand refuses q above --safe-bound, which defaults to 10^6.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from collections import Counter
 
@@ -46,16 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _safe_bound_default() -> int:
-    raw = os.environ.get("WEILLAB_SAFE_BOUND")
-    if raw is None:
-        return DEFAULT_SAFE_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"WEILLAB_SAFE_BOUND={raw!r} is not an integer") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weillab", description="Weil quartic classification and bounds")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -64,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--safe-bound",
             type=int,
-            default=None,
-            help="largest accepted q (default 10^6, or WEILLAB_SAFE_BOUND)",
+            default=DEFAULT_SAFE_BOUND,
+            help="largest accepted q (default 10^6)",
         )
 
     p_classify = subparsers.add_parser("classify", help="classify one isogeny class")
@@ -103,17 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_bound(args: argparse.Namespace) -> int:
-    return args.safe_bound if args.safe_bound is not None else _safe_bound_default()
-
-
 def _check_q(q: int, bound: int) -> None:
     if q > bound:
         raise ValueError(f"q={q} exceeds the safe bound {bound}")
 
 
 def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    bound = _resolve_bound(args)
     by_coeffs = args.q is not None or args.a is not None or args.b is not None
     by_label = args.label is not None
     if by_coeffs == by_label:
@@ -125,7 +107,7 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
             raise ValueError("coefficient form needs all of --q, --a and --b")
         q, a, b = args.q, args.a, args.b
     # guard q before make_weil_quartic factorises it
-    _check_q(q, bound)
+    _check_q(q, args.safe_bound)
     record = build_record(make_weil_quartic(q, a, b))
     out.write(to_json_line(record) + "\n")
     return 0
@@ -174,11 +156,10 @@ def _table_cell(record: ClassRecord, name: str) -> str:
 
 
 def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    bound = _resolve_bound(args)
     q_min, q_max = args.q_min, args.q_max
     if q_min < 2 or q_min > q_max:
         raise ValueError(f"need 2 <= q-min <= q-max, got {q_min}..{q_max}")
-    _check_q(q_max, bound)
+    _check_q(q_max, args.safe_bound)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
@@ -211,8 +192,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
 
 
 def _run_bounds(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    bound = _resolve_bound(args)
-    _check_q(args.q, bound)
+    _check_q(args.q, args.safe_bound)
     if args.family == "general":
         if args.a is None or args.pa is None:
             raise ValueError("--family general needs --a and --pa")
@@ -241,7 +221,6 @@ def _run_bounds(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 
 def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    bound = _resolve_bound(args)
     if (args.encode is None) == (args.decode is None):
         raise ValueError("provide exactly one of --encode q,a,b or --decode LABEL")
     if args.encode is not None:
@@ -254,7 +233,7 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
             raise ValueError(f"--encode expects three integers, got {args.encode!r}")
     else:
         q, a, b = label_coefficients(args.decode)
-    _check_q(q, bound)
+    _check_q(q, args.safe_bound)
     f = make_weil_quartic(q, a, b)
     out.write(render_label(f) + "\n" if args.encode is not None else f"q={f.q} a={f.a} b={f.b}\n")
     return 0

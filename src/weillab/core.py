@@ -16,9 +16,11 @@ decided here by three exact integer inequalities:
     2q + b >= 0  and  (2q + b)^2 >= 4*a^2*q
     a^2 - 4b + 8q >= 0
 
-All arithmetic is plain Python integer arithmetic, hence exact at any
-size; there is no overflow to guard against at the library level.  The
-command line front end applies a configurable size guard instead.
+All arithmetic is plain Python integer arithmetic, hence exact.  Trial
+division accepts 1 <= n < 2^40 and raises ValueError beyond, before any
+sieve is built, so a q that large is refused by make_weil_quartic.
+disc(f+) <= 16q in the Weil region, so every class with q < 2^36 builds
+a record.  The command line front end refuses q above its safe bound.
 """
 
 from __future__ import annotations
@@ -84,15 +86,23 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
+def trial_primes(n: int) -> tuple[int, ...]:
+    """All primes up to at least sqrt(n), for trial division of 1 <= n < 2^40.
+
+    Raises ValueError outside that range before building a sieve, which
+    therefore has at most 2^21 entries.
+    """
+    if not 1 <= n < 1 << 40:
+        raise ValueError(f"trial division expects 1 <= n < 2^40, got {n}")
+    # sieve limit rounded up to a power of two so the cache is reused
+    return _small_primes(1 << (isqrt(n) + 1).bit_length())
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
+    """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}."""
     factors: dict[int, int] = {}
     m = n
-    # sieve limit rounded up to a power of two so the cache is reused
-    limit = 1 << (isqrt(n) + 1).bit_length()
-    for p in _small_primes(limit):
+    for p in trial_primes(n):
         if p * p > m:
             break
         while m % p == 0:
@@ -179,13 +189,19 @@ def make_weil_quartic(q: int, a: int, b: int) -> WeilQuartic:
     """Validate (q, a, b) and build the record, computing p and r.
 
     Raises NotPrimePower if q is not a prime power, NotWeil if some
-    complex root would not have absolute value sqrt(q).
+    complex root would not have absolute value sqrt(q), and ValueError
+    if q >= 2^40, beyond trial division.
     """
     p, r = require_prime_power(q)
     failure = weil_validity_failure(q, a, b)
     if failure is not None:
         raise NotWeil(f"(q={q}, a={a}, b={b}): {failure}")
     return WeilQuartic(q=q, p=p, r=r, a=a, b=b)
+
+
+def fplus_discriminant(f: WeilQuartic) -> int:
+    """Discriminant a^2 - 4(b - 2q) of the real quadratic factor."""
+    return f.a * f.a - 4 * (f.b - 2 * f.q)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +218,7 @@ def is_irreducible_over_Q(f: WeilQuartic) -> bool:
     b = -2q-u^2, and 2q+b >= 0 forces u = 0.  A linear factor t - s has
     s = +-sqrt(q) rational, so 2s is a rational root of f+, as in the first case.
     """
-    q, a, b = f.q, f.a, f.b
-    return not (is_square(a * a - 4 * (b - 2 * q)) or (a == 0 and b == -2 * q))
+    return not (is_square(fplus_discriminant(f)) or (f.a == 0 and f.b == -2 * f.q))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, fields
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
-from .core import WeilQuartic, is_irreducible_over_Q, render_label, squarefree_part
-from .two_adic import fplus_discriminant
+from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
 from .verdict import curve_shape_constraints, genus3_verdict
 
 

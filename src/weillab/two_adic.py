@@ -32,7 +32,7 @@ from .classify import (
     Family,
     _require_irreducible_family,
 )
-from .core import WeilQuartic, squarefree_part
+from .core import WeilQuartic, fplus_discriminant, squarefree_part
 
 
 class DegenerateDiscriminant(ValueError):
@@ -77,11 +77,6 @@ class TwoAdicData:
     split2_Kplus: Split2
     K_over_Kplus_ramified: bool
     shape2_K: Shape2
-
-
-def fplus_discriminant(f: WeilQuartic) -> int:
-    """Discriminant a^2 - 4(b - 2q) of the real quadratic factor."""
-    return f.a * f.a - 4 * (f.b - 2 * f.q)
 
 
 def _split2_from_d(d: int) -> Split2:

@@ -3,6 +3,8 @@ from __future__ import annotations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weillab import (
     Family,
@@ -15,10 +17,12 @@ from weillab import (
     make_weil_quartic,
     p_rank_class,
 )
+from weillab.classify import prime_divisors_all_1_mod_3
 from weillab.core import NotPrimePower, ceil_sqrt
 
 from oracles import (
     gf2_degree_multiset,
+    oracle_all_prime_divisors_1_mod_3,
     oracle_family_b_case,
     oracle_matches_family_a,
     prime_powers_up_to,
@@ -123,6 +127,35 @@ def test_enumerate_sorted_and_duplicate_free():
         pairs = [(f.a, f.b) for f, _ in enumerate_classes(q)]
         assert pairs == sorted(pairs)
         assert len(pairs) == len(set(pairs))
+
+
+# ---------------------------------------------------------------------------
+# the family A prime-divisor condition
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (1, True),  # no prime divisor
+        (4, False),
+        (14, False),
+        (91, True),  # 7 * 13
+        (1729, True),  # 7 * 13 * 19
+        (25, False),  # 1 mod 6, rejected by the division loop
+        (55, False),
+        (121, False),
+        (10000141, True),  # a prime 1 mod 3 above 10^7
+    ],
+)
+def test_prime_divisors_all_1_mod_3_examples(m, expected):
+    assert prime_divisors_all_1_mod_3(m) is expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(1, 12 * 10**6), st.integers(0, 2 * 10**6 - 1).map(lambda k: 6 * k + 1)))
+def test_prime_divisors_all_1_mod_3_matches_oracle(m):
+    # the second strategy draws m = 1 mod 6, the values the division loop decides
+    assert prime_divisors_all_1_mod_3(m) == oracle_all_prime_divisors_1_mod_3(m)
 
 
 # ---------------------------------------------------------------------------

@@ -59,21 +59,6 @@ def test_classify_safe_bound(capsys):
     assert "safe bound" in err
 
 
-def test_classify_safe_bound_env(capsys, monkeypatch):
-    monkeypatch.setenv("WEILLAB_SAFE_BOUND", "50")
-    code, _, err = run_cli(capsys, "classify", "--q", "101", "--a", "0", "--b", "-201")
-    assert code == 1
-    assert "safe bound" in err
-
-
-def test_invalid_safe_bound_env_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("WEILLAB_SAFE_BOUND", "abc")
-    code, _, err = run_cli(capsys, "classify", "--q", "7", "--a", "0", "--b", "-13")
-    assert code == 1
-    assert err.startswith("error:")
-    assert "WEILLAB_SAFE_BOUND" in err
-
-
 # ---------------------------------------------------------------------------
 # enumerate
 

@@ -9,6 +9,7 @@ from weillab import (
     NotPrimePower,
     NotWeil,
     WeilQuartic,
+    build_record,
     floor_2sqrt,
     is_irreducible_over_Q,
     make_weil_quartic,
@@ -16,7 +17,7 @@ from weillab import (
     render_label,
     squarefree_part,
 )
-from weillab.core import ceil_sqrt, prime_power_decomposition, weil_validity_failure
+from weillab.core import ceil_sqrt, factorize, prime_power_decomposition, weil_validity_failure
 
 from oracles import (
     companion_base_change,
@@ -176,6 +177,29 @@ def test_squarefree_part_sampled():
         while k * k <= m:
             assert m % (k * k) != 0, (n, d)
             k += 1
+
+
+# ---------------------------------------------------------------------------
+# the trial-division ceiling
+
+
+def test_trial_division_ceiling_raises_before_any_sieve(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"a sieve up to {limit} was built")
+
+    monkeypatch.setattr("weillab.core._small_primes", refuse)
+    with pytest.raises(ValueError, match="2\\^40"):
+        factorize(2**40)
+    with pytest.raises(ValueError, match="2\\^40"):
+        squarefree_part(-(2**40))
+    with pytest.raises(ValueError, match="2\\^40"):
+        make_weil_quartic(10**39 + 7, 0, 0)
+
+
+def test_class_below_2_to_36_builds_a_record():
+    q = 2**35
+    record = build_record(make_weil_quartic(q, 0, -q))
+    assert (record.class_kind, record.b_case) == ("PirrB", "b=-q")
 
 
 # ---------------------------------------------------------------------------
