@@ -20,7 +20,7 @@ family B, the Weil-restriction classes (a = 0 and one of):
 Members of either family are irreducible over the rationals except for
 (t^2-2)^2 and (t^2-3)^2, which are split off as the two special kinds.
 Everything else is reported as Outside with a short machine-readable
-reason.
+reason.  The family B list, specials included, is ``_family_b_patterns``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,13 @@ B_CASE_2_MINUS_2Q = "b=2-2q"
 B_CASE_MINUS_Q = "b=-q"
 B_CASE_SPECIAL_Q2 = "(q,b)=(2,-4)"
 B_CASE_SPECIAL_Q3 = "(q,b)=(3,-6)"
+
+
+# the two reducible family members (t^2-2)^2 and (t^2-3)^2: q -> (b, pattern, family)
+_SPECIALS = {
+    2: (-4, B_CASE_SPECIAL_Q2, Family.SPECIAL_Q2),
+    3: (-6, B_CASE_SPECIAL_Q3, Family.SPECIAL_Q3),
+}
 
 
 @dataclass(frozen=True)
@@ -113,24 +120,23 @@ def matches_family_a(f: WeilQuartic) -> bool:
     )
 
 
+def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:
+    """The family B patterns met at q = p^r (with a = 0), as {b: pattern}."""
+    patterns = {1 - 2 * q: B_CASE_1_MINUS_2Q}
+    if p > 2:
+        patterns[2 - 2 * q] = B_CASE_2_MINUS_2Q
+    q_is_square = r % 2 == 0
+    if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
+        patterns[-q] = B_CASE_MINUS_Q
+    if q in _SPECIALS:
+        b, pattern, _ = _SPECIALS[q]
+        patterns[b] = pattern
+    return patterns
+
+
 def family_b_case(f: WeilQuartic) -> str | None:
     """Matched coefficient pattern of family B, or None."""
-    q, p, r, b = f.q, f.p, f.r, f.b
-    if f.a != 0:
-        return None
-    if b == 1 - 2 * q:
-        return B_CASE_1_MINUS_2Q
-    if b == 2 - 2 * q and p > 2:
-        return B_CASE_2_MINUS_2Q
-    if b == -q:
-        q_is_square = r % 2 == 0
-        if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
-            return B_CASE_MINUS_Q
-    if (q, b) == (2, -4):
-        return B_CASE_SPECIAL_Q2
-    if (q, b) == (3, -6):
-        return B_CASE_SPECIAL_Q3
-    return None
+    return _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
 
 
 def _outside_reason(f: WeilQuartic) -> str:
@@ -163,42 +169,32 @@ def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKi
         if in_a:
             return ClassKind(Family.PIRR_A)
         return ClassKind(Family.PIRR_B, b_case=b_case)
-    if b_case == B_CASE_SPECIAL_Q2:
-        return ClassKind(Family.SPECIAL_Q2, b_case=b_case)
-    if b_case == B_CASE_SPECIAL_Q3:
-        return ClassKind(Family.SPECIAL_Q3, b_case=b_case)
+    special = _SPECIALS.get(f.q)
+    if special is not None and b_case == special[1]:
+        return ClassKind(special[2], b_case=b_case)
     raise InternalInvariantError(f"reducible family member {f} is not one of the two specials")
 
 
 def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     """All family members at a given q, sorted by (a, b), duplicate-free.
 
-    Family A candidates run over a with a^2 < q (both signs) and
-    b = a^2 - q; family B candidates come from its finite b list; the
-    two specials occur only at q = 2 and q = 3.
+    Family A candidates are (+-a, a^2 - q) for each a >= 0 with a^2 < q
+    whose q - a^2 passes the prime-divisor test; family B candidates are
+    ``_family_b_patterns``.  Every candidate is a member, none Outside.
     """
-    require_prime_power(q)
-    # candidate (a, b) -> whether it meets the family A condition; every
-    # (a, b) with a^2 - b = q and b < 0 is trial-divided in the first loop
-    candidates: dict[tuple[int, int], bool] = {}
-    a_max = isqrt(q - 1)
-    for a in range(-a_max, a_max + 1):
+    p, r = require_prime_power(q)
+    # candidate (a, b) -> whether it meets the family A condition
+    in_a: dict[tuple[int, int], bool] = {}
+    for a in range(isqrt(q - 1) + 1):
         b = a * a - q
         if prime_divisors_all_1_mod_3(-b):
-            candidates[(a, b)] = True
-    for b in (1 - 2 * q, 2 - 2 * q, -q):
-        candidates.setdefault((0, b), False)
-    if q == 2:
-        candidates.setdefault((0, -4), False)
-    if q == 3:
-        candidates.setdefault((0, -6), False)
+            in_a[a, b] = in_a[-a, b] = True
+    for b in _family_b_patterns(q, p, r):
+        in_a.setdefault((0, b), False)
     members = []
-    for (a, b), in_a in candidates.items():
+    for a, b in sorted(in_a):
         f = make_weil_quartic(q, a, b)
-        kind = _classify_matched(f, in_a, family_b_case(f))
-        if kind.family is not Family.OUTSIDE:
-            members.append((f, kind))
-    members.sort(key=lambda pair: (pair[0].a, pair[0].b))
+        members.append((f, _classify_matched(f, in_a[a, b], family_b_case(f))))
     return members
 
 
@@ -210,9 +206,10 @@ def _require_irreducible_family(kind: ClassKind, operation: str) -> None:
 def p_rank_class(f: WeilQuartic, kind: ClassKind) -> PRankClass:
     """Ordinary or supersingular; no family member has intermediate p-rank.
 
-    Family A members are ordinary exactly when a != 0; family B members
-    exactly when the matched pattern is b = 1-2q or b = 2-2q, that is,
-    not b = -q.  Agrees with the general criterion gcd(b, p) = 1.
+    Family A members are read as ordinary exactly when a != 0, family B
+    members when the matched pattern is not b = -q.  This is not always
+    gcd(b, p) = 1: the family A members (+-42, -637) at q = 7^4 have 7 | b
+    yet read ordinary, and meet none of Rueck's valuation conditions.
     """
     _require_irreducible_family(kind, "p_rank_class")
     if kind.family is Family.PIRR_A:

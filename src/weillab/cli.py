@@ -20,6 +20,7 @@ import sys
 from collections import Counter
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
+from .classify import Family
 from .core import (
     InternalInvariantError,
     label_coefficients,
@@ -121,15 +122,11 @@ def prime_powers_in_range(lo: int, hi: int) -> list[int]:
 
 def _summary_line(q_min: int, q_max: int, records: list[ClassRecord]) -> str:
     kinds = Counter(record.class_kind for record in records)
-    verdicts = Counter(
-        "yes" if record.genus3_exists else "no"
-        for record in records
-        if record.genus3_exists is not None
-    )
-    kind_part = " ".join(f"{name}={kinds.get(name, 0)}" for name in ("PirrA", "PirrB", "SpecialQ2", "SpecialQ3"))
+    genus3 = Counter(record.genus3_exists for record in records)
+    kind_part = " ".join(f"{k.value}={kinds[k.value]}" for k in Family if k is not Family.OUTSIDE)
     return (
         f"summary q={q_min}..{q_max}: records={len(records)} {kind_part} "
-        f"genus3_yes={verdicts.get('yes', 0)} genus3_no={verdicts.get('no', 0)}"
+        f"genus3_yes={genus3[True]} genus3_no={genus3[False]}"
     )
 
 
@@ -216,7 +213,7 @@ def _run_bounds(args: argparse.Namespace, out: io.TextIOBase) -> int:
     }
     if interval.note is not None:
         payload["note"] = interval.note
-    out.write(json.dumps(payload, separators=(", ", ": ")) + "\n")
+    out.write(json.dumps(payload) + "\n")
     return 0
 
 

@@ -25,6 +25,7 @@ a record.  The command line front end refuses q above its safe bound.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -230,6 +231,10 @@ def is_irreducible_over_Q(f: WeilQuartic) -> bool:
 # carry a leading 'a' marker: enc(0) = "a", enc(11) = "l", enc(-11) = "al".
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# the text render_label writes, matched with fullmatch; [0-9] is ASCII only
+_LABEL = re.compile(r"2\.([^.]*)\.([^._]*)_([^._]*)")
+_FIELD_SIZE = re.compile(r"0|[1-9][0-9]*")
+_COEFFICIENT = re.compile(r"a|a?[b-z][a-z]*")
 
 
 def _encode_coefficient(n: int) -> str:
@@ -244,20 +249,12 @@ def _encode_coefficient(n: int) -> str:
     return body if n > 0 else "a" + body
 
 
-def _decode_coefficient(text: str) -> int:
-    if not text or any(ch not in _ALPHABET for ch in text):
-        raise MalformedLabel(f"coefficient code {text!r} is not lower-case base 26")
-    if text == "a":
-        return 0
-    if text[0] == "a":
-        body = text[1:]
-        if not body or body[0] == "a":
-            raise MalformedLabel(f"coefficient code {text!r} has a leading zero digit")
-        return -_decode_coefficient(body)
+def _decode_coefficient(code: str) -> int:
+    # code matched _COEFFICIENT, so a leading 'a' marks a negative; as digit 0 it adds nothing
     value = 0
-    for ch in text:
+    for ch in code:
         value = value * 26 + _ALPHABET.index(ch)
-    return value
+    return -value if code[0] == "a" else value
 
 
 def render_label(f: WeilQuartic) -> str:
@@ -272,25 +269,20 @@ def label_coefficients(text: str) -> tuple[int, int, int]:
     coefficient code has no leading zero digit.  Nothing is factorised
     or validated, so a caller can bound q first.
     """
-    parts = text.split(".")
-    if len(parts) != 3:
-        raise MalformedLabel(f"label {text!r} does not have three dot-separated parts")
-    dim, q_text, coeffs = parts
-    if dim != "2":
-        raise MalformedLabel(f"label {text!r} is not two-dimensional")
-    if not (q_text.isascii() and q_text.isdigit()):
-        raise MalformedLabel(f"label {text!r} has a field size that is not ASCII decimal digits")
-    if len(q_text) > 1 and q_text[0] == "0":
-        raise MalformedLabel(f"label {text!r} has a field size with a leading zero")
-    codes = coeffs.split("_")
-    if len(codes) != 2:
-        raise MalformedLabel(f"label {text!r} does not carry exactly two coefficients")
+    match = _LABEL.fullmatch(text)
+    if match is None:
+        raise MalformedLabel(f"label {text!r} is not of the form 2.<q>.<enc(a)>_<enc(b)>")
+    q_text, *codes = match.groups()
+    if _FIELD_SIZE.fullmatch(q_text) is None:
+        raise MalformedLabel(f"label {text!r} has a field size that is not ASCII decimal without a leading zero")
     try:
         q = int(q_text)
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
         raise MalformedLabel(f"label {text!r} has a field size too long to convert") from None
-    a = _decode_coefficient(codes[0])
-    b = _decode_coefficient(codes[1])
+    for code in codes:
+        if _COEFFICIENT.fullmatch(code) is None:
+            raise MalformedLabel(f"coefficient code {code!r} is not lower-case base 26 without a leading zero digit")
+    a, b = (_decode_coefficient(code) for code in codes)
     return q, a, b
 
 

@@ -122,4 +122,4 @@ def to_json_obj(record: ClassRecord) -> dict:
 
 
 def to_json_line(record: ClassRecord) -> str:
-    return json.dumps(to_json_obj(record), separators=(", ", ": "))
+    return json.dumps(to_json_obj(record))

@@ -30,6 +30,7 @@ from .classify import (
     B_CASE_MINUS_Q,
     ClassKind,
     Family,
+    WrongKind,
     _require_irreducible_family,
 )
 from .core import WeilQuartic, fplus_discriminant, squarefree_part
@@ -111,11 +112,15 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     The discriminant of f+ is factorised once; its squarefree part d
     gives the splitting of 2 in K+.  The shape of 2 in K comes from
     ``_SHAPE_A`` or ``_SHAPE_B``.  The kind is checked first, so an
-    Outside class raises WrongKind whatever its discriminant.  K/K+ is
-    ramified exactly for the family B pattern b = 2-2q, whose p > 2.
+    Outside class, or a family B kind whose (pattern, q mod 2) has no
+    ``_SHAPE_B`` row, raises WrongKind whatever its discriminant.  K/K+
+    is ramified exactly for the family B pattern b = 2-2q, whose p > 2.
     Raises DegenerateDiscriminant unless delta > 0 and d != 1.
     """
     _require_irreducible_family(kind, "two_adic_data")
+    shape = _SHAPE_B.get((kind.b_case, f.q % 2))
+    if kind.family is Family.PIRR_B and shape is None:
+        raise WrongKind(f"two_adic_data has no family B row for pattern {kind.b_case!r} at q={f.q}")
     delta = fplus_discriminant(f)
     if delta <= 0:
         raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
@@ -125,8 +130,6 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     split2 = _split2_from_d(d)
     if kind.family is Family.PIRR_A:
         shape = _SHAPE_A[split2]
-    else:
-        shape = _SHAPE_B[kind.b_case, f.q % 2]
     return TwoAdicData(
         delta=delta,
         c=c,

@@ -74,6 +74,12 @@ class Genus3Verdict:
     two_adic: TwoAdicData | None = None
 
 
+_VERDICT_SPECIAL = {
+    Family.SPECIAL_Q2: Genus3Verdict(None, False, RULE_SPECIAL_Q2, note=_SPECIAL_NOTE),
+    Family.SPECIAL_Q3: Genus3Verdict(None, True, RULE_SPECIAL_Q3, witness=SPECIAL_Q3_WITNESS, note=_SPECIAL_NOTE),
+}
+
+
 def _require_family_member(kind: ClassKind, operation: str) -> None:
     if kind.family is Family.OUTSIDE:
         raise WrongKind(f"{operation} is not defined for Outside classes")
@@ -82,21 +88,8 @@ def _require_family_member(kind: ClassKind, operation: str) -> None:
 def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:
     """Class-level genus-3 verdict with rule provenance and 2-adic data."""
     _require_family_member(kind, "genus3_verdict")
-    if kind.family is Family.SPECIAL_Q2:
-        return Genus3Verdict(
-            deg4_polarisation_exists=None,
-            genus3_curve_exists=False,
-            rule=RULE_SPECIAL_Q2,
-            note=_SPECIAL_NOTE,
-        )
-    if kind.family is Family.SPECIAL_Q3:
-        return Genus3Verdict(
-            deg4_polarisation_exists=None,
-            genus3_curve_exists=True,
-            rule=RULE_SPECIAL_Q3,
-            witness=SPECIAL_Q3_WITNESS,
-            note=_SPECIAL_NOTE,
-        )
+    if not kind.is_irreducible_family:
+        return _VERDICT_SPECIAL[kind.family]
     data = two_adic_data(f, kind)
     if kind.family is Family.PIRR_A:
         exists = data.split2_Kplus is not Split2.INERT

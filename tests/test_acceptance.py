@@ -241,7 +241,8 @@ def test_criterion_7_performance_and_determinism(tmp_path):
     )
     assert code == 0
     assert filecmp.cmp(single, threaded, shallow=False), "thread count changed the output"
-    assert sum(1 for _ in open(single)) > 1
+    with open(single) as handle:
+        assert sum(1 for _ in handle) > 1
 
 
 if __name__ == "__main__":

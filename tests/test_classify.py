@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from weillab import (
     p_rank_class,
 )
 from weillab.classify import prime_divisors_all_1_mod_3
-from weillab.core import NotPrimePower, ceil_sqrt
+from weillab.core import NotPrimePower, ceil_sqrt, weil_validity_failure
 
 from oracles import (
     gf2_degree_multiset,
@@ -120,6 +120,19 @@ def test_enumerate_q4_has_no_2_minus_2q_row():
     # p = 2 excludes b = 2-2q
     rows = [(f.a, f.b, k.family) for f, k in enumerate_classes(4)]
     assert rows == [(0, -7, Family.PIRR_B)]
+
+
+def test_enumerate_classes_is_complete_up_to_64():
+    # every Weil (a, b) that classify places in a family, with the same kind, in (a, b) order
+    for q in prime_powers_up_to(64):
+        expected = []
+        for a, b in _grid_pairs(q):
+            if weil_validity_failure(q, a, b) is None:
+                f = make_weil_quartic(q, a, b)
+                kind = classify(f)
+                if kind.family is not Family.OUTSIDE:
+                    expected.append((f, kind))
+        assert enumerate_classes(q) == expected, q
 
 
 def test_enumerate_sorted_and_duplicate_free():
@@ -251,6 +264,30 @@ def test_p_rank_agrees_with_gcd_criterion():
             continue
         ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
         assert ordinary == (gcd(f.b, f.p) == 1), (f.q, f.a, f.b)
+
+
+def _valuation(n, p):
+    if n == 0:
+        return inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="family A admits (a, b) = (+-42, -637) at q = 7^4: v(a) = 1, v(b) = 2, so no valuation case holds",
+)
+def test_members_meet_a_rueck_valuation_case():
+    # Rueck: a Weil quartic of an abelian surface over F_q, q = p^r, has
+    # v(b) = 0 (ordinary), or v(a) = 0 and v(b) >= r/2 (p-rank 1), or
+    # v(a) >= r/2 and v(b) >= r (supersingular), with v the p-adic valuation
+    for q in prime_powers_up_to(2500):
+        for f, _ in enumerate_classes(q):
+            va, vb = _valuation(f.a, f.p), _valuation(f.b, f.p)
+            assert vb == 0 or (va == 0 and 2 * vb >= f.r) or (2 * va >= f.r and vb >= f.r), (f.q, f.a, f.b)
 
 
 def test_p_rank_rejects_specials():

@@ -17,7 +17,7 @@ from weillab import (
     render_label,
     squarefree_part,
 )
-from weillab.core import ceil_sqrt, factorize, prime_power_decomposition, weil_validity_failure
+from weillab.core import ceil_sqrt, factorize, label_coefficients, prime_power_decomposition, weil_validity_failure
 
 from oracles import (
     companion_base_change,
@@ -261,6 +261,9 @@ def test_label_round_trip_multi_digit():
         "2.2.aa_ab",
         "2.2.a_a1",
         "2.2._ab",
+        "2.2.a_ab\n",  # a $ anchor would accept the trailing newline
+        "2.2.a_",
+        "2.-2.a_ab",
         # more digits than int() converts: a ValueError that is not MalformedLabel unless caught
         pytest.param("2." + "1" * 5000 + ".a_a", id="q-with-5000-digits"),
     ],
@@ -275,6 +278,13 @@ def test_parse_label_invalid_quartic():
         parse_label("2.6.a_ag")
     with pytest.raises(NotWeil):
         parse_label("2.4.a_j")  # b = 9 at q = 4
+
+
+def test_label_coefficients_leaves_the_prime_power_check_to_parse_label():
+    # the grammar accepts q = 0, which render_label writes; parse_label then refuses it
+    assert label_coefficients("2.0.a_a") == (0, 0, 0)
+    with pytest.raises(NotPrimePower):
+        parse_label("2.0.a_a")
 
 
 def test_label_round_trips_on_enumerated_classes():

@@ -10,9 +10,11 @@ from weillab import (
     PRankClass,
     Split2,
     WrongKind,
+    build_record,
     classify,
     enumerate_classes,
     fplus_discriminant,
+    genus3_verdict,
     make_weil_quartic,
     p_rank_class,
     two_adic_data,
@@ -283,3 +285,19 @@ def test_two_adic_data_rejects_outside_before_the_discriminant(q, a, b, delta):
     assert fplus_discriminant(f) == delta
     with pytest.raises(WrongKind):
         two_adic_data(f, kind)
+
+
+@pytest.mark.parametrize(
+    "q,a,b,b_case",
+    [
+        (7, 0, -12, None),  # family B kind with no pattern
+        (4, 0, -6, "b=2-2q"),  # b = 2-2q needs p > 2, so it has no even-q row
+        (7, 0, -13, "b=unknown"),
+    ],
+)
+def test_family_b_kind_without_a_row_raises_wrong_kind(q, a, b, b_case):
+    f = make_weil_quartic(q, a, b)
+    kind = ClassKind(Family.PIRR_B, b_case=b_case)
+    for operation in (two_adic_data, genus3_verdict, build_record):
+        with pytest.raises(WrongKind):
+            operation(f, kind)
