@@ -59,8 +59,10 @@ def _interval(center: int, radius: int, family: BoundFamily, note: str | None = 
 
 
 def genus_bounds_on_surface(q: int, a: int, p_a: int) -> PointBounds:
-    """Interval for a curve of arithmetic genus p_a on a surface of trace -a."""
+    """Interval for a curve of arithmetic genus p_a on a surface of trace -a, a^2 <= 16q."""
     require_prime_power(q)
+    if a * a > 16 * q:
+        raise ValueError(f"no surface over F_{q} has trace {-a}: a^2 <= 16q fails")
     if p_a < 1:
         raise ValueError(f"arithmetic genus must be >= 1, got {p_a}")
     radius = abs(p_a - 2) * floor_2sqrt(q)

@@ -59,6 +59,10 @@ B_CASE_MINUS_Q = "b=-q"
 B_CASE_SPECIAL_Q2 = "(q,b)=(2,-4)"
 B_CASE_SPECIAL_Q3 = "(q,b)=(3,-6)"
 
+# the families the kind guards admit: the irreducible members, and every member
+_IRREDUCIBLE_FAMILIES = (Family.PIRR_A, Family.PIRR_B)
+_MEMBER_FAMILIES = (*_IRREDUCIBLE_FAMILIES, Family.SPECIAL_Q2, Family.SPECIAL_Q3)
+
 
 # the two reducible family members (t^2-2)^2 and (t^2-3)^2: q -> (b, pattern, family)
 _SPECIALS = {
@@ -82,7 +86,7 @@ class ClassKind:
 
     @property
     def is_irreducible_family(self) -> bool:
-        return self.family in (Family.PIRR_A, Family.PIRR_B)
+        return self.family in _IRREDUCIBLE_FAMILIES
 
 
 @unique
@@ -198,9 +202,9 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     return members
 
 
-def _require_irreducible_family(kind: ClassKind, operation: str) -> None:
-    if not kind.is_irreducible_family:
-        raise WrongKind(f"{operation} is defined for family A and B members only, got {kind.family.value}")
+def _require_family(kind: ClassKind, operation: str, families: tuple[Family, ...]) -> None:
+    if kind.family not in families:
+        raise WrongKind(f"{operation} is not defined for {kind.family.value} classes")
 
 
 def p_rank_class(f: WeilQuartic, kind: ClassKind) -> PRankClass:
@@ -211,7 +215,7 @@ def p_rank_class(f: WeilQuartic, kind: ClassKind) -> PRankClass:
     gcd(b, p) = 1: the family A members (+-42, -637) at q = 7^4 have 7 | b
     yet read ordinary, and meet none of Rueck's valuation conditions.
     """
-    _require_irreducible_family(kind, "p_rank_class")
+    _require_family(kind, "p_rank_class", _IRREDUCIBLE_FAMILIES)
     if kind.family is Family.PIRR_A:
         ordinary = f.a != 0
     else:

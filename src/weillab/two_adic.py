@@ -13,10 +13,10 @@ This is a field-level criterion; the factorisation of f+ mod 2 only
 agrees with it when c is odd, which the test suite checks but the
 implementation never relies on.
 
-The shape of 2 in K is read from one of two tables in
-:func:`two_adic_data`: family A's is keyed by the splitting of 2 in K+,
-family B's by the matched pattern ``ClassKind.b_case`` and q mod 2.
-For family B, 2 always ramifies in K+.
+Every other fact of a class is read from one table, ``_CLASS_ROWS``:
+one row per class key (the splitting of 2 in K+ for family A, the
+pattern ``ClassKind.b_case`` and q mod 2 for family B) gives the shape
+of 2 in K, the degree-4 polarisation verdict and its rule.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .classify import (
     ClassKind,
     Family,
     WrongKind,
-    _require_irreducible_family,
+    _IRREDUCIBLE_FAMILIES,
+    _require_family,
 )
 from .core import WeilQuartic, fplus_discriminant, squarefree_part
 
@@ -88,39 +89,44 @@ def _split2_from_d(d: int) -> Split2:
     return Split2.RAMIFIED
 
 
-# Family A: 2 is unramified in K/K+, so its splitting in K+ decides the shape.
-_SHAPE_A = {
-    Split2.INERT: Shape2(((1, 2, 2),), ConjugationTag.CONJUGATE_PAIR),
-    Split2.SPLIT: Shape2(((1, 2, 2),), ConjugationTag.EACH_SELF_CONJUGATE),
-    Split2.RAMIFIED: Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
+_SINGLE = ConjugationTag.SINGLE_SELF_CONJUGATE
+
+# Class key -> (shape of 2 in K, degree-4 polarisation exists, rule).  In
+# family A, 2 is unramified in K/K+; in family B it ramifies in K+ and the
+# prime above it is totally ramified (b = 2-2q, p > 2), split or inert in K.
+_CLASS_ROWS = {
+    Split2.INERT: (Shape2(((1, 2, 2),), ConjugationTag.CONJUGATE_PAIR), False, "PirrA-inert"),
+    Split2.SPLIT: (Shape2(((1, 2, 2),), ConjugationTag.EACH_SELF_CONJUGATE), True, "PirrA-noninert"),
+    Split2.RAMIFIED: (Shape2(((2, 2, 1),), _SINGLE), True, "PirrA-noninert"),
+    (B_CASE_1_MINUS_2Q, 1): (Shape2(((2, 2, 1),), _SINGLE), False, "PirrB-ordinary-coeff"),
+    (B_CASE_1_MINUS_2Q, 0): (Shape2(((2, 1, 2),), ConjugationTag.CONJUGATE_PAIR), True, "PirrB-ordinary-coeff"),
+    (B_CASE_2_MINUS_2Q, 1): (Shape2(((4, 1, 1),), _SINGLE), True, "PirrB-ordinary-coeff"),
+    (B_CASE_MINUS_Q, 1): (Shape2(((2, 2, 1),), _SINGLE), True, "PirrB-supersingular-parity"),
+    (B_CASE_MINUS_Q, 0): (Shape2(((2, 2, 1),), _SINGLE), False, "PirrB-supersingular-parity"),
 }
 
-# Family B, keyed by (matched pattern, q mod 2): 2 ramifies in K+, and the
-# one prime above it is totally ramified (b = 2-2q), split or inert in K.
-_SHAPE_B = {
-    (B_CASE_1_MINUS_2Q, 1): Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
-    (B_CASE_1_MINUS_2Q, 0): Shape2(((2, 1, 2),), ConjugationTag.CONJUGATE_PAIR),
-    (B_CASE_2_MINUS_2Q, 1): Shape2(((4, 1, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
-    (B_CASE_MINUS_Q, 1): Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
-    (B_CASE_MINUS_Q, 0): Shape2(((2, 2, 1),), ConjugationTag.SINGLE_SELF_CONJUGATE),
-}
+
+def _class_row(kind: ClassKind, q: int, split2: Split2) -> tuple[Shape2, bool, str]:
+    """The ``_CLASS_ROWS`` row of a family A or B kind whose 2 splits as ``split2`` in K+."""
+    key = split2 if kind.family is Family.PIRR_A else (kind.b_case, q % 2)
+    row = _CLASS_ROWS.get(key)
+    if row is None:
+        raise WrongKind(f"no family B row for pattern {kind.b_case!r} at q={q}")
+    return row
 
 
 def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     """Bundle of the 2-adic invariants of an irreducible family member.
 
     The discriminant of f+ is factorised once; its squarefree part d
-    gives the splitting of 2 in K+.  The shape of 2 in K comes from
-    ``_SHAPE_A`` or ``_SHAPE_B``.  The kind is checked first, so an
-    Outside class, or a family B kind whose (pattern, q mod 2) has no
-    ``_SHAPE_B`` row, raises WrongKind whatever its discriminant.  K/K+
-    is ramified exactly for the family B pattern b = 2-2q, whose p > 2.
+    gives the splitting of 2 in K+, and the class's ``_CLASS_ROWS`` row
+    the shape of 2 in K.  An Outside or special kind raises WrongKind
+    before the discriminant is read, a family B kind whose
+    (pattern, q mod 2) has no row raises WrongKind after it.  K/K+ is
+    ramified exactly for the family B pattern b = 2-2q, whose p > 2.
     Raises DegenerateDiscriminant unless delta > 0 and d != 1.
     """
-    _require_irreducible_family(kind, "two_adic_data")
-    shape = _SHAPE_B.get((kind.b_case, f.q % 2))
-    if kind.family is Family.PIRR_B and shape is None:
-        raise WrongKind(f"two_adic_data has no family B row for pattern {kind.b_case!r} at q={f.q}")
+    _require_family(kind, "two_adic_data", _IRREDUCIBLE_FAMILIES)
     delta = fplus_discriminant(f)
     if delta <= 0:
         raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
@@ -128,13 +134,11 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     if d == 1:
         raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
     split2 = _split2_from_d(d)
-    if kind.family is Family.PIRR_A:
-        shape = _SHAPE_A[split2]
     return TwoAdicData(
         delta=delta,
         c=c,
         d=d,
         split2_Kplus=split2,
         K_over_Kplus_ramified=kind.b_case == B_CASE_2_MINUS_2Q,
-        shape2_K=shape,
+        shape2_K=_class_row(kind, f.q, split2)[0],
     )

@@ -7,9 +7,10 @@ polarisation test, decided in :func:`genus3_verdict`:
 
     family A: no degree-4 polarisation anywhere in the class
               iff 2 is inert in K+;
-    family B: read from ``_VERDICT_B`` by the matched coefficient pattern
-              and the parity of q; there is none exactly for
-              (b = 1-2q, q odd) and (b = -q, q even).
+    family B: none exactly for (b = 1-2q, q odd) and (b = -q, q even).
+
+Both are read, with the rule, from the class's row of the one table
+``two_adic._CLASS_ROWS``, which also gives the shape of 2 in K.
 
 The two special classes (t^2-2)^2 and (t^2-3)^2 are settled directly:
 the first contains no curve of geometric genus 3 at all, the second
@@ -23,36 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import (
-    B_CASE_1_MINUS_2Q,
-    B_CASE_2_MINUS_2Q,
-    B_CASE_MINUS_Q,
-    ClassKind,
-    Family,
-    WrongKind,
-)
+from .classify import ClassKind, Family, _MEMBER_FAMILIES, _require_family
 from .core import WeilQuartic
-from .two_adic import Split2, TwoAdicData, two_adic_data
+from .two_adic import TwoAdicData, _class_row, two_adic_data
 
 SPECIAL_Q3_WITNESS = "y^4+xz^3+2x^3z"
 _SPECIAL_NOTE = "degree-4 polarisation criterion not applied; class settled by direct genus-3 search"
-
-RULE_A_INERT = "PirrA-inert"
-RULE_A_NONINERT = "PirrA-noninert"
-RULE_B_ORDINARY = "PirrB-ordinary-coeff"
-RULE_B_SUPERSINGULAR = "PirrB-supersingular-parity"
-RULE_SPECIAL_Q2 = "Special-Q2"
-RULE_SPECIAL_Q3 = "Special-Q3"
-
-# Family B, keyed by (matched pattern, q mod 2): (degree-4 polarisation
-# exists, rule).  b = 2-2q needs p > 2, so it has no even-q row.
-_VERDICT_B = {
-    (B_CASE_1_MINUS_2Q, 1): (False, RULE_B_ORDINARY),
-    (B_CASE_1_MINUS_2Q, 0): (True, RULE_B_ORDINARY),
-    (B_CASE_2_MINUS_2Q, 1): (True, RULE_B_ORDINARY),
-    (B_CASE_MINUS_Q, 1): (True, RULE_B_SUPERSINGULAR),
-    (B_CASE_MINUS_Q, 0): (False, RULE_B_SUPERSINGULAR),
-}
 
 
 @dataclass(frozen=True)
@@ -75,27 +52,18 @@ class Genus3Verdict:
 
 
 _VERDICT_SPECIAL = {
-    Family.SPECIAL_Q2: Genus3Verdict(None, False, RULE_SPECIAL_Q2, note=_SPECIAL_NOTE),
-    Family.SPECIAL_Q3: Genus3Verdict(None, True, RULE_SPECIAL_Q3, witness=SPECIAL_Q3_WITNESS, note=_SPECIAL_NOTE),
+    Family.SPECIAL_Q2: Genus3Verdict(None, False, "Special-Q2", note=_SPECIAL_NOTE),
+    Family.SPECIAL_Q3: Genus3Verdict(None, True, "Special-Q3", witness=SPECIAL_Q3_WITNESS, note=_SPECIAL_NOTE),
 }
-
-
-def _require_family_member(kind: ClassKind, operation: str) -> None:
-    if kind.family is Family.OUTSIDE:
-        raise WrongKind(f"{operation} is not defined for Outside classes")
 
 
 def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:
     """Class-level genus-3 verdict with rule provenance and 2-adic data."""
-    _require_family_member(kind, "genus3_verdict")
+    _require_family(kind, "genus3_verdict", _MEMBER_FAMILIES)
     if not kind.is_irreducible_family:
         return _VERDICT_SPECIAL[kind.family]
     data = two_adic_data(f, kind)
-    if kind.family is Family.PIRR_A:
-        exists = data.split2_Kplus is not Split2.INERT
-        rule = RULE_A_NONINERT if exists else RULE_A_INERT
-    else:
-        exists, rule = _VERDICT_B[kind.b_case, f.q % 2]
+    _, exists, rule = _class_row(kind, f.q, data.split2_Kplus)
     return Genus3Verdict(
         deg4_polarisation_exists=exists,
         genus3_curve_exists=exists,
@@ -114,7 +82,7 @@ def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> str:
     clause certifying the absence of curves of genus <= 2 is read from
     ``kind``: "a", or "b:" followed by the matched family B pattern.
     """
-    _require_family_member(kind, "curve_shape_constraints")
+    _require_family(kind, "curve_shape_constraints", _MEMBER_FAMILIES)
     if kind.family is Family.PIRR_A:
         clause = "a"
     else:

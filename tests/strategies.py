@@ -1,0 +1,50 @@
+"""Hypothesis strategies shared by the property tests.
+
+Prime powers below a limit, with the powers of 2 and 3 drawn on their
+own since the two specials live there, and (q, a, b) anywhere inside
+the Weil region of q.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from weillab.core import ceil_sqrt
+
+
+def _prime_powers_below(limit: int) -> list[int]:
+    sieve = bytearray([1]) * limit
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    out = []
+    for p in (n for n, flag in enumerate(sieve) if flag):
+        q = p
+        while q < limit:
+            out.append(q)
+            q *= p
+    return sorted(out)
+
+
+def _prime_powers(limit: int):
+    powers_of_2_and_3 = [p**r for p in (2, 3) for r in range(1, limit.bit_length()) if p**r < limit]
+    return st.one_of(st.sampled_from(powers_of_2_and_3), st.sampled_from(_prime_powers_below(limit)))
+
+
+Q_BELOW_10_4 = _prime_powers(10**4)
+Q_BELOW_10_6 = _prime_powers(10**6)
+
+
+@st.composite
+def weil_pairs(draw, q_strategy):
+    """(q, a, b) with a and b anywhere inside the Weil region of q."""
+    q = draw(q_strategy)
+    a = draw(st.integers(-isqrt(16 * q), isqrt(16 * q)))
+    b_lo = ceil_sqrt(4 * a * a * q) - 2 * q  # (2q+b)^2 >= 4a^2q with 2q+b >= 0
+    b_hi = (a * a + 8 * q) // 4  # a^2 - 4b + 8q >= 0
+    assume(b_lo <= b_hi)
+    return q, a, draw(st.integers(b_lo, b_hi))

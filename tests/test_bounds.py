@@ -29,6 +29,20 @@ def test_genus_bounds_validation():
         genus_bounds_on_surface(4, 0, 0)
 
 
+@pytest.mark.parametrize("q,a,p_a", [(11, 14, 3), (11, -100, 1)])
+def test_genus_bounds_reject_a_trace_outside_the_weil_region(q, a, p_a):
+    # a^2 <= 16q is the first root-location inequality of a Weil quartic
+    with pytest.raises(ValueError, match="16q"):
+        genus_bounds_on_surface(q, a, p_a)
+
+
+@pytest.mark.parametrize("a", [13, -13])
+def test_genus_bounds_accept_the_extreme_traces(a):
+    # 13^2 = 169 <= 16 * 11 = 176 < 14^2
+    interval = genus_bounds_on_surface(11, a, 3)
+    assert (interval.center, interval.radius) == (12 + a, 6)
+
+
 def test_weil_restriction_examples():
     assert (weil_restriction_bounds(4).lo, weil_restriction_bounds(4).hi) == (1, 9)
     assert (weil_restriction_bounds(9).lo, weil_restriction_bounds(9).hi) == (4, 16)

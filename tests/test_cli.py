@@ -195,6 +195,12 @@ def test_bounds_missing_flags(capsys):
     assert code == 1
 
 
+def test_bounds_general_rejects_a_trace_no_surface_has(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--q", "11", "--a", "-100", "--pa", "1", "--family", "general")
+    assert (code, out) == (1, "")
+    assert "16q" in err
+
+
 # ---------------------------------------------------------------------------
 # label
 

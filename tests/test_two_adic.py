@@ -19,7 +19,7 @@ from weillab import (
     p_rank_class,
     two_adic_data,
 )
-from weillab.two_adic import _SHAPE_A, _SHAPE_B
+from weillab.two_adic import _CLASS_ROWS
 from oracles import fplus_mod2_shape, gf2_factor_names, prime_powers_up_to, trial_squarefree
 
 SWEEP_LIMIT = 100
@@ -164,10 +164,20 @@ def _degree(shape):
 
 def test_shape_totals_are_4():
     # e*f summed over the primes above 2 is [K:Q] = 4 for every table row
-    for shape in (*_SHAPE_A.values(), *_SHAPE_B.values()):
+    for shape, _, _ in _CLASS_ROWS.values():
         assert _degree(shape) == 4, shape
     for f, kind in _members():
         assert _degree(two_adic_data(f, kind).shape2_K) == 4
+
+
+def test_every_class_row_is_met_up_to_64():
+    # no dead rows: each key is met by a member, (b=-q, q odd) first at 9, Split first at 19
+    met = {}
+    for f, kind in _members(64):
+        key = _split2(f, kind) if kind.family is Family.PIRR_A else (kind.b_case, f.q % 2)
+        met.setdefault(key, f.q)
+    assert set(met) == set(_CLASS_ROWS)
+    assert (met[Split2.SPLIT], met["b=-q", 1]) == (19, 9)
 
 
 def test_family_b_shape_trichotomy_is_exhaustive():
