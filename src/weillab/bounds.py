@@ -7,10 +7,12 @@ abelian surface of trace -a over the field with q elements,
 
 Specialised to the classified families with p_a = 3: a Weil restriction
 has trace 0, giving q + 1 +- floor(2*sqrt(q)); a class with no principal
-polarisation has a^2 = q - b, giving the exact interval
-q + 1 +- (sqrt(q-b) + floor(2*sqrt(q))), loosened to radius
-2*floor(2*sqrt(q)) after estimating sqrt(q-b) <= 2*sqrt(q).  Both sit
-well inside the genus-3 interval q + 1 +- 3*floor(2*sqrt(q)).
+polarisation has b = a^2 - q with a^2 < q, so about q + 1 the radius
+|a| + floor(2*sqrt(q)) suffices, loosened to 2*floor(2*sqrt(q)).  Given
+b, the radius computed is ceil(sqrt(q-b)) + floor(2*sqrt(q)): it holds
+since q - b >= q + b = a^2 for b < 0, but is wider than
+|a| + floor(2*sqrt(q)).  Both sit well inside the genus-3 interval
+q + 1 +- 3*floor(2*sqrt(q)).
 
 Point counts are non-negative, so lower endpoints are clamped at 0 with
 the raw value kept for diagnostics.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .core import ceil_sqrt, floor_2sqrt, require_prime_power
+from .core import ceil_sqrt, floor_2sqrt, is_square, require_prime_power
 
 
 @unique
@@ -78,17 +80,17 @@ def weil_restriction_bounds(q: int) -> PointBounds:
 def non_pp_bounds(q: int, b: int | None = None) -> PointBounds:
     """Genus-3 interval on a class with no principal polarisation.
 
-    Without b the radius is the estimated 2*floor(2*sqrt(q)).  With the
-    middle coefficient b the exact pre-estimation form
-    q + 1 +- (ceil(sqrt(q-b)) + floor(2*sqrt(q))) is returned instead,
-    using a^2 = q - b and rounding the square root up to stay
-    conservative.
+    Such a class has b = a^2 - q with a^2 < q, so b < 0 and q + b is a
+    square; any other b raises ValueError.  Without b the radius is
+    2*floor(2*sqrt(q)).  With b it is ceil(sqrt(q-b)) + floor(2*sqrt(q)),
+    a valid radius since q - b >= q + b = a^2, though wider than the
+    exact |a| + floor(2*sqrt(q)).
     """
     require_prime_power(q)
     if b is None:
         return _interval(q + 1, 2 * floor_2sqrt(q), BoundFamily.NON_PP)
-    if q - b < 0:
-        raise ValueError(f"q - b = {q - b} is negative; not a trace square")
+    if b >= 0 or not is_square(q + b):
+        raise ValueError(f"b = {b} is not a^2 - {q} with a^2 < {q}")
     radius = ceil_sqrt(q - b) + floor_2sqrt(q)
     return _interval(
         q + 1,

@@ -14,8 +14,7 @@ family B, the Weil-restriction classes (a = 0 and one of):
     b = -q      with p = 11 mod 12 and q a square,
                 or p = 3 and q a square,
                 or p = 2 and q a non-square;
-    (q, b) = (2, -4);
-    (q, b) = (3, -6).
+    b = -2q     with q = 2 or 3 (the two specials).
 
 Members of either family are irreducible over the rationals except for
 (t^2-2)^2 and (t^2-3)^2, which are split off as the two special kinds.
@@ -56,19 +55,14 @@ class Family(Enum):
 B_CASE_1_MINUS_2Q = "b=1-2q"
 B_CASE_2_MINUS_2Q = "b=2-2q"
 B_CASE_MINUS_Q = "b=-q"
-B_CASE_SPECIAL_Q2 = "(q,b)=(2,-4)"
-B_CASE_SPECIAL_Q3 = "(q,b)=(3,-6)"
 
 # the families the kind guards admit: the irreducible members, and every member
 _IRREDUCIBLE_FAMILIES = (Family.PIRR_A, Family.PIRR_B)
 _MEMBER_FAMILIES = (*_IRREDUCIBLE_FAMILIES, Family.SPECIAL_Q2, Family.SPECIAL_Q3)
 
 
-# the two reducible family members (t^2-2)^2 and (t^2-3)^2: q -> (b, pattern, family)
-_SPECIALS = {
-    2: (-4, B_CASE_SPECIAL_Q2, Family.SPECIAL_Q2),
-    3: (-6, B_CASE_SPECIAL_Q3, Family.SPECIAL_Q3),
-}
+# the two reducible family members (t^2-2)^2 and (t^2-3)^2, both at b = -2q: q -> family
+_SPECIALS = {2: Family.SPECIAL_Q2, 3: Family.SPECIAL_Q3}
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,8 @@ class ClassKind:
     """Verdict of the family classification.
 
     ``b_case`` is the matched family B pattern, set for family B members
-    and for the two specials, which carry ``B_CASE_SPECIAL_Q2/Q3``;
-    ``reason`` is set for Outside.
+    and for the two specials, whose pattern b = -2q reads ``(q,b)=(2,-4)``
+    and ``(q,b)=(3,-6)``; ``reason`` is set for Outside.
     """
 
     family: Family
@@ -115,15 +109,6 @@ def prime_divisors_all_1_mod_3(m: int) -> bool:
     return m % 3 == 1
 
 
-def matches_family_a(f: WeilQuartic) -> bool:
-    """Coefficient condition of family A (irreducibility not included)."""
-    return (
-        f.a * f.a - f.b == f.q
-        and f.b < 0
-        and prime_divisors_all_1_mod_3(-f.b)
-    )
-
-
 def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:
     """The family B patterns met at q = p^r (with a = 0), as {b: pattern}."""
     patterns = {1 - 2 * q: B_CASE_1_MINUS_2Q}
@@ -133,8 +118,7 @@ def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:
     if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
         patterns[-q] = B_CASE_MINUS_Q
     if q in _SPECIALS:
-        b, pattern, _ = _SPECIALS[q]
-        patterns[b] = pattern
+        patterns[-2 * q] = f"(q,b)=({q},{-2 * q})"
     return patterns
 
 
@@ -143,39 +127,36 @@ def family_b_case(f: WeilQuartic) -> str | None:
     return _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
 
 
-def _outside_reason(f: WeilQuartic) -> str:
-    if f.a * f.a - f.b == f.q:
-        if f.b >= 0:
-            return "b-not-negative"
-        return "prime-divisor-of-b-not-1-mod-3"
-    if f.a == 0:
-        return "b-not-in-weil-restriction-list"
-    return "no-family-condition-matched"
-
-
 def classify(f: WeilQuartic) -> ClassKind:
     """Place f in family A, family B, one of the two specials, or Outside.
 
-    The two coefficient conditions are mutually exclusive; a reducible
-    match can only be (t^2-2)^2 or (t^2-3)^2.  Either guarantee failing
-    raises InternalInvariantError.
+    Outside classes also get their reason, from the first family A clause
+    they fail.  The two coefficient conditions are mutually exclusive; a
+    reducible match can only be (t^2-2)^2 or (t^2-3)^2.  Either guarantee
+    failing raises InternalInvariantError.
     """
-    return _classify_matched(f, matches_family_a(f), family_b_case(f))
+    b_case = family_b_case(f)
+    if f.a * f.a - f.b != f.q:
+        reason = "b-not-in-weil-restriction-list" if f.a == 0 else "no-family-condition-matched"
+    elif f.b >= 0:
+        reason = "b-not-negative"
+    elif prime_divisors_all_1_mod_3(-f.b):
+        return _classify_matched(f, True, b_case)
+    else:
+        reason = "prime-divisor-of-b-not-1-mod-3"
+    if b_case is None:
+        return ClassKind(Family.OUTSIDE, reason=reason)
+    return _classify_matched(f, False, b_case)
 
 
 def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKind:
-    # classify, given the outcomes of the family A and family B conditions
-    if in_a and b_case is not None:
-        raise InternalInvariantError(f"conditions (a) and (b) both match {f}")
-    if not in_a and b_case is None:
-        return ClassKind(Family.OUTSIDE, reason=_outside_reason(f))
+    # classify a member, given the outcomes of the family A and family B conditions
+    if in_a == (b_case is not None):
+        raise InternalInvariantError(f"{'both' if in_a else 'neither of'} conditions (a) and (b) match {f}")
     if is_irreducible_over_Q(f):
-        if in_a:
-            return ClassKind(Family.PIRR_A)
-        return ClassKind(Family.PIRR_B, b_case=b_case)
-    special = _SPECIALS.get(f.q)
-    if special is not None and b_case == special[1]:
-        return ClassKind(special[2], b_case=b_case)
+        return ClassKind(Family.PIRR_A if in_a else Family.PIRR_B, b_case=b_case)
+    if f.q in _SPECIALS and f.b == -2 * f.q:
+        return ClassKind(_SPECIALS[f.q], b_case=b_case)
     raise InternalInvariantError(f"reducible family member {f} is not one of the two specials")
 
 

@@ -23,6 +23,7 @@ from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval,
 from .classify import Family
 from .core import (
     InternalInvariantError,
+    WeilQuartic,
     label_coefficients,
     make_weil_quartic,
     prime_power_decomposition,
@@ -47,23 +48,18 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weillab", description="Weil quartic classification and bounds")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--safe-bound", type=int, default=DEFAULT_SAFE_BOUND, help="largest accepted q (default 10^6)")
 
-    def add_safe_bound(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--safe-bound",
-            type=int,
-            default=DEFAULT_SAFE_BOUND,
-            help="largest accepted q (default 10^6)",
-        )
-
-    p_classify = subparsers.add_parser("classify", help="classify one isogeny class")
+    p_classify = subparsers.add_parser("classify", parents=[common], help="classify one isogeny class")
+    p_classify.set_defaults(handler=_run_classify)
     p_classify.add_argument("--q", type=int)
     p_classify.add_argument("--a", type=int)
     p_classify.add_argument("--b", type=int)
     p_classify.add_argument("--label", type=str)
-    add_safe_bound(p_classify)
 
-    p_enum = subparsers.add_parser("enumerate", help="enumerate family members over a q range")
+    p_enum = subparsers.add_parser("enumerate", parents=[common], help="enumerate family members over a q range")
+    p_enum.set_defaults(handler=_run_enumerate)
     p_enum.add_argument("--q-min", type=int, required=True)
     p_enum.add_argument("--q-max", type=int, required=True)
     p_enum.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -72,21 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--output", type=str, default=None, help="write records to a file")
     p_enum.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; enumeration runs in one thread")
-    add_safe_bound(p_enum)
 
-    p_bounds = subparsers.add_parser("bounds", help="point-count interval calculators")
+    p_bounds = subparsers.add_parser("bounds", parents=[common], help="point-count interval calculators")
+    p_bounds.set_defaults(handler=_run_bounds)
     p_bounds.add_argument("--q", type=int, required=True)
     p_bounds.add_argument("--family", choices=("general", "wres", "nonpp", "serre"), required=True)
     p_bounds.add_argument("--a", type=int)
     p_bounds.add_argument("--pa", type=int)
     p_bounds.add_argument("--g", type=int)
-    p_bounds.add_argument("--b", type=int, help="middle coefficient for the exact nonpp variant")
-    add_safe_bound(p_bounds)
+    p_bounds.add_argument("--b", type=int, help="middle coefficient b = a^2 - q for the nonpp variant")
 
-    p_label = subparsers.add_parser("label", help="encode or decode isogeny-class labels")
+    p_label = subparsers.add_parser("label", parents=[common], help="encode or decode isogeny-class labels")
+    p_label.set_defaults(handler=_run_label)
     p_label.add_argument("--encode", type=str, help="q,a,b")
     p_label.add_argument("--decode", type=str)
-    add_safe_bound(p_label)
 
     return parser
 
@@ -96,7 +91,13 @@ def _check_q(q: int, bound: int) -> None:
         raise ValueError(f"q={q} exceeds the safe bound {bound}")
 
 
-def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
+def _bounded_quartic(q: int, a: int, b: int, safe_bound: int) -> WeilQuartic:
+    # guard q before make_weil_quartic factorises it
+    _check_q(q, safe_bound)
+    return make_weil_quartic(q, a, b)
+
+
+def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     by_coeffs = args.q is not None or args.a is not None or args.b is not None
     by_label = args.label is not None
     if by_coeffs == by_label:
@@ -107,9 +108,7 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase) -> int:
         if args.q is None or args.a is None or args.b is None:
             raise ValueError("coefficient form needs all of --q, --a and --b")
         q, a, b = args.q, args.a, args.b
-    # guard q before make_weil_quartic factorises it
-    _check_q(q, args.safe_bound)
-    record = build_record(make_weil_quartic(q, a, b))
+    record = build_record(_bounded_quartic(q, a, b, args.safe_bound))
     out.write(to_json_line(record) + "\n")
     return 0
 
@@ -188,7 +187,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     return 0
 
 
-def _run_bounds(args: argparse.Namespace, out: io.TextIOBase) -> int:
+def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     _check_q(args.q, args.safe_bound)
     if args.family == "general":
         if args.a is None or args.pa is None:
@@ -217,7 +216,7 @@ def _run_bounds(args: argparse.Namespace, out: io.TextIOBase) -> int:
     return 0
 
 
-def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
+def _run_label(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     if (args.encode is None) == (args.decode is None):
         raise ValueError("provide exactly one of --encode q,a,b or --decode LABEL")
     if args.encode is not None:
@@ -230,8 +229,7 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase) -> int:
             raise ValueError(f"--encode expects three integers, got {args.encode!r}")
     else:
         q, a, b = label_coefficients(args.decode)
-    _check_q(q, args.safe_bound)
-    f = make_weil_quartic(q, a, b)
+    f = _bounded_quartic(q, a, b, args.safe_bound)
     out.write(render_label(f) + "\n" if args.encode is not None else f"q={f.q} a={f.a} b={f.b}\n")
     return 0
 
@@ -244,13 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     out, err = sys.stdout, sys.stderr
     try:
-        if args.command == "classify":
-            return _run_classify(args, out)
-        if args.command == "enumerate":
-            return _run_enumerate(args, out, err)
-        if args.command == "bounds":
-            return _run_bounds(args, out)
-        return _run_label(args, out)
+        return args.handler(args, out, err)
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1

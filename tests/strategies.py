@@ -1,8 +1,8 @@
 """Hypothesis strategies shared by the property tests.
 
 Prime powers below a limit, with the powers of 2 and 3 drawn on their
-own since the two specials live there, and (q, a, b) anywhere inside
-the Weil region of q.
+own since the two specials live there, (q, a, b) anywhere inside the
+Weil region of q, and (q, a, b) on the family patterns.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from weillab.core import ceil_sqrt
+
+from oracles import oracle_all_prime_divisors_1_mod_3
 
 
 def _prime_powers_below(limit: int) -> list[int]:
@@ -48,3 +50,17 @@ def weil_pairs(draw, q_strategy):
     b_hi = (a * a + 8 * q) // 4  # a^2 - 4b + 8q >= 0
     assume(b_lo <= b_hi)
     return q, a, draw(st.integers(b_lo, b_hi))
+
+
+@st.composite
+def family_pattern_pairs(draw):
+    """(q, a, b) on a family pattern; valid Weil classes, members or not."""
+    q = draw(Q_BELOW_10_6)
+    if draw(st.booleans()):
+        # a^2 - 4b + 8q = 12q - 3a^2 >= 0 bounds a; the other inequalities always hold
+        a = draw(st.integers(0, isqrt(4 * q)))
+        if a * a < q:
+            a = next((x for x in range(a, -1, -1) if oracle_all_prime_divisors_1_mod_3(q - x * x)), a)
+        a *= draw(st.sampled_from((1, -1)))
+        return q, a, a * a - q
+    return q, 0, draw(st.sampled_from((1 - 2 * q, 2 - 2 * q, -q, -2 * q)))

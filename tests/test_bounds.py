@@ -69,6 +69,18 @@ def test_non_pp_exact_variant():
         non_pp_bounds(4, b=5)
 
 
+@pytest.mark.parametrize("q, b", [(11, -1000), (11, -3), (11, 0)])
+def test_non_pp_rejects_b_of_no_class(q, b):
+    # a class with no principal polarisation has b = a^2 - q with a^2 < q
+    with pytest.raises(ValueError):
+        non_pp_bounds(q, b)
+
+
+@pytest.mark.parametrize("q, b, radius", [(11, -2, 10), (11, -11, 11), (8, -7, 9)])
+def test_non_pp_accepts_b_of_a_class(q, b, radius):
+    assert non_pp_bounds(q, b).radius == radius
+
+
 def test_serre_weil_examples():
     assert (serre_weil_interval(11, 3).lo, serre_weil_interval(11, 3).hi) == (0, 30)
     assert (serre_weil_interval(4, 3).lo, serre_weil_interval(4, 3).hi) == (0, 17)

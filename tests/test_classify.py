@@ -3,11 +3,12 @@ from __future__ import annotations
 from math import gcd, inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weillab import (
     Family,
+    InternalInvariantError,
     PRankClass,
     WrongKind,
     build_record,
@@ -27,6 +28,7 @@ from oracles import (
     oracle_matches_family_a,
     prime_powers_up_to,
 )
+from strategies import Q_BELOW_10_6, family_pattern_pairs, weil_pairs
 
 SWEEP_LIMIT = 100
 
@@ -133,6 +135,28 @@ def test_enumerate_classes_is_complete_up_to_64():
                 if kind.family is not Family.OUTSIDE:
                     expected.append((f, kind))
         assert enumerate_classes(q) == expected, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(family_pattern_pairs(), weil_pairs(Q_BELOW_10_6)))
+@example((2, 0, -4))
+@example((3, 0, -6))
+@example((2401, 42, -637))
+@example((2401, -42, -637))
+def test_classify_agrees_with_enumerate_classes_below_10_6(qab):
+    # a class is enumerated, with the kind classify gives it, exactly when it is a member
+    f = make_weil_quartic(*qab)
+    kind = classify(f)
+    assert ((f, kind) in enumerate_classes(f.q)) == (kind.family is not Family.OUTSIDE)
+
+
+def test_classify_matched_rejects_neither_and_both_conditions():
+    from weillab.classify import _classify_matched
+
+    with pytest.raises(InternalInvariantError, match="neither"):
+        _classify_matched(make_weil_quartic(2, 0, -1), False, None)
+    with pytest.raises(InternalInvariantError, match="both"):
+        _classify_matched(make_weil_quartic(7, 0, -7), True, "b=-q")
 
 
 def test_enumerate_sorted_and_duplicate_free():

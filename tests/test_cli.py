@@ -186,6 +186,13 @@ def test_bounds_nonpp_exact(capsys):
     assert (payload["lo"], payload["hi"]) == (0, 18)
 
 
+def test_bounds_nonpp_rejects_b_of_no_class(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--q", "11", "--family", "nonpp", "--b", "-1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bounds_missing_flags(capsys):
     code, _, err = run_cli(capsys, "bounds", "--q", "11", "--family", "general")
     assert code == 1

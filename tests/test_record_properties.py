@@ -11,29 +11,12 @@ and, at q = 2, 3, the two specials).
 
 from __future__ import annotations
 
-from math import isqrt
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weillab import build_record, make_weil_quartic, parse_label
 
-from oracles import oracle_all_prime_divisors_1_mod_3
-from strategies import Q_BELOW_10_6, weil_pairs
-
-
-@st.composite
-def family_pattern_pairs(draw):
-    """(q, a, b) on a family pattern; valid Weil classes, members or not."""
-    q = draw(Q_BELOW_10_6)
-    if draw(st.booleans()):
-        # a^2 - 4b + 8q = 12q - 3a^2 >= 0 bounds a; the other inequalities always hold
-        a = draw(st.integers(0, isqrt(4 * q)))
-        if a * a < q:
-            a = next((x for x in range(a, -1, -1) if oracle_all_prime_divisors_1_mod_3(q - x * x)), a)
-        a *= draw(st.sampled_from((1, -1)))
-        return q, a, a * a - q
-    return q, 0, draw(st.sampled_from((1 - 2 * q, 2 - 2 * q, -q, -2 * q)))
+from strategies import Q_BELOW_10_6, family_pattern_pairs, weil_pairs
 
 
 @settings(max_examples=300, deadline=None)
