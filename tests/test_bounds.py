@@ -91,16 +91,6 @@ def test_serre_weil_examples():
         serre_weil_interval(7, -1)
 
 
-def test_containment_up_to_512():
-    for q in prime_powers_up_to(512):
-        envelope = serre_weil_interval(q, 3)
-        wres = weil_restriction_bounds(q)
-        nonpp = non_pp_bounds(q)
-        assert envelope.lo <= wres.lo and wres.hi <= envelope.hi
-        assert envelope.lo <= nonpp.lo and nonpp.hi <= envelope.hi
-        assert wres.radius < envelope.radius
-
-
 def test_radius_monotone_in_genus():
     for q in (2, 25, 128):
         radii = [genus_bounds_on_surface(q, 0, p_a).radius for p_a in range(2, 12)]

@@ -28,14 +28,9 @@ from oracles import (
     oracle_matches_family_a,
     prime_powers_up_to,
 )
-from strategies import Q_BELOW_10_6, family_pattern_pairs, weil_pairs
+from strategies import Q_BELOW_10_6, family_members, family_pattern_pairs, weil_pairs
 
 SWEEP_LIMIT = 100
-
-
-def _members(limit=SWEEP_LIMIT):
-    for q in prime_powers_up_to(limit):
-        yield from enumerate_classes(q)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +214,6 @@ def test_reducible_matches_are_exactly_the_two_squares():
     for q in prime_powers_up_to(SWEEP_LIMIT):
         p, r = _prime_power(q)
         for a, b in _grid_pairs(q):
-            from weillab.core import weil_validity_failure
-
             if weil_validity_failure(q, a, b) is not None:
                 continue
             if not (oracle_matches_family_a(q, a, b) or oracle_family_b_case(q, p, r, a, b)):
@@ -238,20 +231,8 @@ def _prime_power(q):
 
 def test_members_factor_mod_2_into_quadratics():
     # grouped into two degree-2 factors: no irreducible factor of degree 3 or 4
-    for f, _ in _members():
+    for f, _ in family_members(SWEEP_LIMIT):
         assert max(gf2_degree_multiset(f.q, f.a, f.b)) <= 2, (f.q, f.a, f.b)
-
-
-def test_family_b_characterisation_by_base_change():
-    from oracles import brute_force_irreducible, companion_base_change
-
-    for f, kind in _members():
-        irreducible = brute_force_irreducible(f.q, f.a, f.b)
-        a2, b2 = companion_base_change(f.q, f.a, f.b)
-        base_change_reducible = not brute_force_irreducible(f.q * f.q, a2, b2)
-        in_b_list = oracle_family_b_case(f.q, f.p, f.r, f.a, f.b) is not None
-        is_family_b = kind.family is Family.PIRR_B
-        assert is_family_b == (irreducible and base_change_reducible and in_b_list), (f.q, f.a, f.b)
 
 
 def test_family_b_characterisation_production_path():
@@ -259,7 +240,7 @@ def test_family_b_characterisation_production_path():
 
     from oracles import companion_base_change
 
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
         base_change = make_weil_quartic(f.q * f.q, *companion_base_change(f.q, f.a, f.b))
         rhs = (
             is_irreducible_over_Q(f)
@@ -283,7 +264,7 @@ def test_p_rank_examples():
 
 
 def test_p_rank_agrees_with_gcd_criterion():
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
         if not kind.is_irreducible_family:
             continue
         ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
@@ -308,10 +289,9 @@ def test_members_meet_a_rueck_valuation_case():
     # Rueck: a Weil quartic of an abelian surface over F_q, q = p^r, has
     # v(b) = 0 (ordinary), or v(a) = 0 and v(b) >= r/2 (p-rank 1), or
     # v(a) >= r/2 and v(b) >= r (supersingular), with v the p-adic valuation
-    for q in prime_powers_up_to(2500):
-        for f, _ in enumerate_classes(q):
-            va, vb = _valuation(f.a, f.p), _valuation(f.b, f.p)
-            assert vb == 0 or (va == 0 and 2 * vb >= f.r) or (2 * va >= f.r and vb >= f.r), (f.q, f.a, f.b)
+    for f, _ in family_members(2500):
+        va, vb = _valuation(f.a, f.p), _valuation(f.b, f.p)
+        assert vb == 0 or (va == 0 and 2 * vb >= f.r) or (2 * va >= f.r and vb >= f.r), (f.q, f.a, f.b)
 
 
 def test_p_rank_rejects_specials():

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from weillab.cli import main, prime_powers_in_range
-from weillab.records import FIELD_NAMES, ClassRecord, to_json_obj
+from weillab.core import InternalInvariantError
+from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, to_json_obj
 
 
 def run_cli(capsys, *argv):
@@ -51,12 +52,6 @@ def test_classify_requires_exactly_one_input_form(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "classify")
     assert code == 1
-
-
-def test_classify_safe_bound(capsys):
-    code, _, err = run_cli(capsys, "classify", "--q", "101", "--a", "0", "--b", "-201", "--safe-bound", "100")
-    assert code == 1
-    assert "safe bound" in err
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +131,23 @@ def test_enumerate_output_file(tmp_path, capsys):
     rows = target.read_text().splitlines()
     assert rows[0] == ",".join(FIELD_NAMES)
     assert len(rows) == 9  # header + 8 classes
+
+
+def test_enumerate_failing_partway_exits_2_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    # a run that fails partway must not leave a truncated --output file behind
+    def fail_above_3(q):
+        if q > 3:
+            raise InternalInvariantError(f"q={q}")
+        return records_for_q(q)
+
+    monkeypatch.setattr("weillab.cli.records_for_q", fail_above_3)
+    target = tmp_path / "classes.csv"
+    code, out, err = run_cli(
+        capsys, "enumerate", "--q-min", "2", "--q-max", "7", "--format", "csv", "--output", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: ")
+    assert not target.exists()
 
 
 def test_enumerate_byte_identical_across_runs_and_jobs(capsys):
@@ -238,14 +250,7 @@ def test_non_canonical_label_exits_1(capsys, command, label):
     assert "field size" in err
 
 
-@pytest.mark.parametrize("command", ["classify --label", "label --decode"])
-def test_label_safe_bound(capsys, command):
-    code, _, err = run_cli(capsys, *command.split(), "2.101.a_ahb", "--safe-bound", "100")
-    assert code == 1
-    assert "safe bound" in err
-
-
-BIG_Q = 10**39 + 7  # 40 digits: far past any safe bound, and beyond factorising by trial division
+BIG_Q = 10**39 + 7  # 40 digits: far past the safe bound, and beyond factorising by trial division
 
 
 @pytest.mark.parametrize(
@@ -255,8 +260,14 @@ BIG_Q = 10**39 + 7  # 40 digits: far past any safe bound, and beyond factorising
         ["label", "--decode", f"2.{BIG_Q}.a_a"],
         ["label", "--encode", f"{BIG_Q},0,0"],
         ["classify", "--q", str(BIG_Q), "--a", "0", "--b", "0"],
+        ["classify", "--q", "1000003", "--a", "0", "--b", "0"],
+        ["classify", "--label", "2.1000003.a_a"],
+        ["label", "--decode", "2.1000003.a_a"],
     ],
-    ids=["classify-label", "label-decode", "label-encode", "classify-q"],
+    ids=[
+        "classify-label", "label-decode", "label-encode", "classify-q",
+        "classify-q-1000003", "classify-label-1000003", "label-decode-1000003",
+    ],
 )
 def test_safe_bound_is_checked_before_q_is_factorised(capsys, monkeypatch, argv):
     # a guard that ran after make_weil_quartic would exit 2 here, not 1

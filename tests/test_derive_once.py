@@ -15,7 +15,6 @@ import pytest
 
 from weillab import (
     build_record,
-    enumerate_classes,
     fplus_discriminant,
     genus3_verdict,
     is_irreducible_over_Q,
@@ -25,12 +24,12 @@ from weillab import (
 )
 from weillab.classify import Family, classify
 
-from oracles import prime_powers_up_to
+from strategies import family_members
 
 
 def test_record_fields_equal_single_function_path():
     checked = 0
-    for f, kind in (member for q in prime_powers_up_to(512) for member in enumerate_classes(q)):
+    for f, kind in family_members(512):
         record = build_record(f, kind)
         delta = fplus_discriminant(f)
         assert record.fplus_disc == delta
@@ -118,7 +117,7 @@ def test_one_two_adic_data_call_per_family_record(monkeypatch, q, a, b, calls):
 
 def test_verdict_carries_the_two_adic_data_it_was_read_from():
     inert_rules = 0
-    for f, kind in (member for q in prime_powers_up_to(512) for member in enumerate_classes(q)):
+    for f, kind in family_members(512):
         verdict = genus3_verdict(f, kind)
         if not kind.is_irreducible_family:
             assert verdict.two_adic is None

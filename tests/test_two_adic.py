@@ -11,8 +11,6 @@ from weillab import (
     Split2,
     WrongKind,
     build_record,
-    classify,
-    enumerate_classes,
     fplus_discriminant,
     genus3_verdict,
     make_weil_quartic,
@@ -20,21 +18,10 @@ from weillab import (
     two_adic_data,
 )
 from weillab.two_adic import _CLASS_ROWS
-from oracles import fplus_mod2_shape, gf2_factor_names, prime_powers_up_to, trial_squarefree
+from oracles import gf2_factor_names, trial_squarefree
+from strategies import family_members, kind_of
 
 SWEEP_LIMIT = 100
-
-
-def _members(limit=SWEEP_LIMIT):
-    for q in prime_powers_up_to(limit):
-        for f, kind in enumerate_classes(q):
-            if kind.is_irreducible_family:
-                yield f, kind
-
-
-def _kind(q, a, b):
-    f = make_weil_quartic(q, a, b)
-    return f, classify(f)
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +38,14 @@ NON_MEMBER = ClassKind(Family.PIRR_A)
 
 
 def test_splitting_examples():
-    assert _split2(*_kind(8, 1, -7)) is Split2.INERT  # d = 93
-    assert _split2(*_kind(5, 2, -1)) is Split2.RAMIFIED  # d = 3
-    assert _split2(*_kind(7, 0, -13)) is Split2.RAMIFIED  # d = 3
+    assert _split2(*kind_of(8, 1, -7)) is Split2.INERT  # d = 93
+    assert _split2(*kind_of(5, 2, -1)) is Split2.RAMIFIED  # d = 3
+    assert _split2(*kind_of(7, 0, -13)) is Split2.RAMIFIED  # d = 3
 
 
 def test_splitting_split_case():
     # (2, 0, -3): delta = 28, d = 7 = -1 mod 8
-    assert _split2(*_kind(2, 0, -3)) is Split2.RAMIFIED
+    assert _split2(*kind_of(2, 0, -3)) is Split2.RAMIFIED
     # find a genuine split example: d = 1 mod 8 needs d = 17, 33, ...
     # (13, 2, -9): delta = 4 - 4*(-9 - 26) = 144 + ... compute in test body
     f = make_weil_quartic(13, 2, -9)
@@ -86,7 +73,9 @@ def test_degenerate_discriminant_rejected():
 
 
 def test_splitting_decided_by_d_on_members():
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
+        if not kind.is_irreducible_family:
+            continue
         _, d = trial_squarefree(fplus_discriminant(f))
         assert d > 1
         expected = (
@@ -101,24 +90,24 @@ def test_splitting_decided_by_d_on_members():
 
 
 def test_ramification_examples():
-    f, kind = _kind(7, 0, -12)
+    f, kind = kind_of(7, 0, -12)
     assert two_adic_data(f, kind).K_over_Kplus_ramified is True
-    g, g_kind = _kind(7, 0, -13)
+    g, g_kind = kind_of(7, 0, -13)
     assert two_adic_data(g, g_kind).K_over_Kplus_ramified is False
-    h, h_kind = _kind(8, 1, -7)
+    h, h_kind = kind_of(8, 1, -7)
     assert two_adic_data(h, h_kind).K_over_Kplus_ramified is False
 
 
 def test_ramification_rejects_specials():
-    f, kind = _kind(2, 0, -4)
+    f, kind = kind_of(2, 0, -4)
     with pytest.raises(WrongKind):
         two_adic_data(f, kind)
 
 
 def test_ramified_members_are_ordinary_with_fourth_power_reduction():
     seen = 0
-    for f, kind in _members():
-        if not two_adic_data(f, kind).K_over_Kplus_ramified:
+    for f, kind in family_members(SWEEP_LIMIT):
+        if not kind.is_irreducible_family or not two_adic_data(f, kind).K_over_Kplus_ramified:
             continue
         seen += 1
         assert p_rank_class(f, kind) is PRankClass.ORDINARY
@@ -127,7 +116,7 @@ def test_ramified_members_are_ordinary_with_fourth_power_reduction():
 
 
 def test_family_b_always_ramifies_in_Kplus():
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
         if kind.family is Family.PIRR_B:
             assert _split2(f, kind) is Split2.RAMIFIED, (f.q, f.a, f.b)
 
@@ -137,13 +126,13 @@ def test_family_b_always_ramifies_in_Kplus():
 
 
 def test_shape_examples():
-    f, kind = _kind(7, 0, -12)
+    f, kind = kind_of(7, 0, -12)
     assert two_adic_data(f, kind).shape2_K.factors == ((4, 1, 1),)
-    g, g_kind = _kind(7, 0, -13)
+    g, g_kind = kind_of(7, 0, -13)
     assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
-    h, h_kind = _kind(2, 0, -3)
+    h, h_kind = kind_of(2, 0, -3)
     assert two_adic_data(h, h_kind).shape2_K.factors == ((2, 1, 2),)
-    k, k_kind = _kind(8, 1, -7)
+    k, k_kind = kind_of(8, 1, -7)
     shape = two_adic_data(k, k_kind).shape2_K
     assert shape.factors == ((1, 2, 2),)
     assert shape.conjugation is ConjugationTag.CONJUGATE_PAIR
@@ -152,9 +141,9 @@ def test_shape_examples():
 def test_shape_supersingular_members_inert():
     # the unique prime of K+ above 2 stays inert in K for every
     # supersingular Weil-restriction class, whatever the parity of q
-    f, kind = _kind(2, 0, -2)
+    f, kind = kind_of(2, 0, -2)
     assert two_adic_data(f, kind).shape2_K.factors == ((2, 2, 1),)
-    g, g_kind = _kind(9, 0, -9)
+    g, g_kind = kind_of(9, 0, -9)
     assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
 
 
@@ -166,14 +155,17 @@ def test_shape_totals_are_4():
     # e*f summed over the primes above 2 is [K:Q] = 4 for every table row
     for shape, _, _ in _CLASS_ROWS.values():
         assert _degree(shape) == 4, shape
-    for f, kind in _members():
-        assert _degree(two_adic_data(f, kind).shape2_K) == 4
+    for f, kind in family_members(SWEEP_LIMIT):
+        if kind.is_irreducible_family:
+            assert _degree(two_adic_data(f, kind).shape2_K) == 4
 
 
 def test_every_class_row_is_met_up_to_64():
     # no dead rows: each key is met by a member, (b=-q, q odd) first at 9, Split first at 19
     met = {}
-    for f, kind in _members(64):
+    for f, kind in family_members(64):
+        if not kind.is_irreducible_family:
+            continue
         key = _split2(f, kind) if kind.family is Family.PIRR_A else (kind.b_case, f.q % 2)
         met.setdefault(key, f.q)
     assert set(met) == set(_CLASS_ROWS)
@@ -181,7 +173,7 @@ def test_every_class_row_is_met_up_to_64():
 
 
 def test_family_b_shape_trichotomy_is_exhaustive():
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
         if kind.family is not Family.PIRR_B:
             continue
         shape = two_adic_data(f, kind).shape2_K
@@ -193,7 +185,7 @@ def test_family_b_shape_against_mod2_reduction():
     # a squared irreducible quadratic forces the inert shape, two distinct
     # linear squares force the split shape, a fourth power of t+1 forces
     # total ramification
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
         if kind.family is not Family.PIRR_B:
             continue
         shape = two_adic_data(f, kind).shape2_K.factors
@@ -212,7 +204,7 @@ def test_family_b_shape_against_mod2_reduction():
 
 
 def test_family_a_shape_follows_subfield_splitting():
-    for f, kind in _members():
+    for f, kind in family_members(SWEEP_LIMIT):
         if kind.family is not Family.PIRR_A:
             continue
         shape = two_adic_data(f, kind).shape2_K
@@ -229,42 +221,13 @@ def test_family_a_shape_follows_subfield_splitting():
 
 
 # ---------------------------------------------------------------------------
-# Kummer-Dedekind agreement in K+
-
-
-def test_kummer_dedekind_agreement_odd_conductor():
-    checked = 0
-    for f, kind in _members():
-        c, _ = trial_squarefree(fplus_discriminant(f))
-        if c % 2 == 0:
-            continue
-        checked += 1
-        a, c0 = f.a, f.b - 2 * f.q
-        shape = fplus_mod2_shape(a, c0)
-        symbol = _split2(f, kind)
-        expected = {
-            "irreducible": Split2.INERT,
-            "split": Split2.SPLIT,
-            "ramified": Split2.RAMIFIED,
-        }[shape]
-        assert symbol is expected, (f.q, f.a, f.b)
-    assert checked > 0
-
-
-# ---------------------------------------------------------------------------
 # coefficient shortcuts
 
 
 def test_family_a_even_q_is_inert():
-    for f, kind in _members(512):
+    for f, kind in family_members(512):
         if kind.family is Family.PIRR_A and f.q % 2 == 0:
             assert _split2(f, kind) is Split2.INERT, (f.q, f.a, f.b)
-
-
-def test_family_a_even_trace_ramification_shortcut():
-    for f, kind in _members(512):
-        if kind.family is Family.PIRR_A and f.a % 2 == 0 and (f.a + f.b) % 4 != 1:
-            assert _split2(f, kind) is Split2.RAMIFIED, (f.q, f.a, f.b)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +235,7 @@ def test_family_a_even_trace_ramification_shortcut():
 
 
 def test_two_adic_data_bundle():
-    f, kind = _kind(8, 1, -7)
+    f, kind = kind_of(8, 1, -7)
     data = two_adic_data(f, kind)
     assert data.delta == 1 * 1 - 4 * (-23)  # f+ = t^2 + t - 23
     assert data.delta == 93
@@ -290,7 +253,7 @@ def test_two_adic_data_bundle():
     ],
 )
 def test_two_adic_data_rejects_outside_before_the_discriminant(q, a, b, delta):
-    f, kind = _kind(q, a, b)
+    f, kind = kind_of(q, a, b)
     assert kind.family is Family.OUTSIDE
     assert fplus_discriminant(f) == delta
     with pytest.raises(WrongKind):
