@@ -122,11 +122,6 @@ def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:
     return patterns
 
 
-def family_b_case(f: WeilQuartic) -> str | None:
-    """Matched coefficient pattern of family B, or None."""
-    return _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
-
-
 def classify(f: WeilQuartic) -> ClassKind:
     """Place f in family A, family B, one of the two specials, or Outside.
 
@@ -135,7 +130,7 @@ def classify(f: WeilQuartic) -> ClassKind:
     reducible match can only be (t^2-2)^2 or (t^2-3)^2.  Either guarantee
     failing raises InternalInvariantError.
     """
-    b_case = family_b_case(f)
+    b_case = _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
     if f.a * f.a - f.b != f.q:
         reason = "b-not-in-weil-restriction-list" if f.a == 0 else "no-family-condition-matched"
     elif f.b >= 0:
@@ -174,12 +169,13 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
         b = a * a - q
         if prime_divisors_all_1_mod_3(-b):
             in_a[a, b] = in_a[-a, b] = True
-    for b in _family_b_patterns(q, p, r):
+    patterns = _family_b_patterns(q, p, r)
+    for b in patterns:
         in_a.setdefault((0, b), False)
     members = []
     for a, b in sorted(in_a):
         f = make_weil_quartic(q, a, b)
-        members.append((f, _classify_matched(f, in_a[a, b], family_b_case(f))))
+        members.append((f, _classify_matched(f, in_a[a, b], patterns.get(b) if a == 0 else None)))
     return members
 
 

@@ -37,6 +37,13 @@ _TABLE_COLUMNS = (
     "q", "a", "b", "label", "class_kind", "b_case", "ordinary",
     "d", "split2_Kplus", "deg4_polarisation", "genus3_exists", "rule",
 )
+# bounds --family -> (calculator, the flags it takes after --q, in argument order); nonpp may omit --b
+_BOUNDS = {
+    "general": (genus_bounds_on_surface, ("a", "pa")),
+    "wres": (weil_restriction_bounds, ()),
+    "nonpp": (non_pp_bounds, ("b",)),
+    "serre": (serre_weil_interval, ("g",)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = subparsers.add_parser("bounds", help="point-count interval calculators")
     p_bounds.set_defaults(handler=_run_bounds)
     p_bounds.add_argument("--q", type=int, required=True)
-    p_bounds.add_argument("--family", choices=("general", "wres", "nonpp", "serre"), required=True)
+    p_bounds.add_argument("--family", choices=tuple(_BOUNDS), required=True)
     p_bounds.add_argument("--a", type=int)
     p_bounds.add_argument("--pa", type=int)
     p_bounds.add_argument("--g", type=int)
@@ -188,18 +195,11 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
 
 def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     _check_q(args.q)
-    if args.family == "general":
-        if args.a is None or args.pa is None:
-            raise ValueError("--family general needs --a and --pa")
-        interval = genus_bounds_on_surface(args.q, args.a, args.pa)
-    elif args.family == "wres":
-        interval = weil_restriction_bounds(args.q)
-    elif args.family == "nonpp":
-        interval = non_pp_bounds(args.q, args.b)
-    else:
-        if args.g is None:
-            raise ValueError("--family serre needs --g")
-        interval = serre_weil_interval(args.q, args.g)
+    calculator, takes = _BOUNDS[args.family]
+    given = tuple(flag for flag in ("a", "pa", "g", "b") if getattr(args, flag) is not None)
+    if given != takes and (args.family, given) != ("nonpp", ()):
+        raise ValueError(f"--family {args.family} takes {' and '.join('--' + flag for flag in takes) or 'no flag'}")
+    interval = calculator(args.q, *(getattr(args, flag) for flag in takes))
     payload = {
         "family": interval.family.value,
         "q": args.q,

@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Every expected value is recomputed on the test side with the brute-force
-oracles from ``oracles.py`` (exhaustive factor search, companion-matrix
-base change, list-based GF(2) arithmetic, division-only squarefree
-decomposition, reimplemented family predicates); the production code
-path under test is never used as its own reference.
+Criterion 2 is the one member sweep: it builds the record of every family
+member once and checks each column against an independent oracle from
+``oracles.py``.  The brute-force oracles (exhaustive factor search,
+companion-matrix base change) run up to q = 100; the cheap ones (list-based
+GF(2) arithmetic, division-only squarefree decomposition, reimplemented
+family predicates, the clause oracle of the genus-3 verdict) run up to
+q = 512.  A new oracle for a column is one more check in that sweep.  The
+production code path under test is never used as its own reference.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
@@ -14,13 +17,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from weillab import (
     Family,
-    Split2,
+    build_record,
     classify,
     genus3_verdict,
     genus_bounds_on_surface,
@@ -29,7 +33,6 @@ from weillab import (
     parse_label,
     render_label,
     serre_weil_interval,
-    two_adic_data,
     weil_restriction_bounds,
 )
 from weillab.cli import main as cli_main
@@ -39,7 +42,7 @@ from oracles import (
     companion_base_change,
     fplus_mod2_shape,
     gf2_degree_multiset,
-    gf2_factor_weil,
+    gf2_factor_names,
     oracle_family_b_case,
     oracle_matches_family_a,
     prime_powers_up_to,
@@ -94,60 +97,6 @@ def test_criterion_1_paper_fixtures():
     assert time.monotonic() - started < 1.0
 
 
-@_report(2, "consistency sweep over all family members, q <= 100 (< 10 s)")
-def test_criterion_2_family_consistency_sweep():
-    started = time.monotonic()
-    members = list(family_members(100))
-    assert members
-    for f, kind in members:
-        q, p, r, a, b = f.q, f.p, f.r, f.a, f.b
-        irreducible = brute_force_irreducible(q, a, b)
-        if kind.is_irreducible_family:
-            # (i) irreducible by exhaustive factor search
-            assert irreducible, (q, a, b)
-            # (ii) the mod-2 reduction groups into two quadratics
-            assert max(gf2_degree_multiset(q, a, b)) <= 2, (q, a, b)
-            # (iv) family B discriminants have d = 2, 3 mod 4
-            if kind.family is Family.PIRR_B:
-                delta = a * a - 4 * (b - 2 * q)
-                _, d = trial_squarefree(delta)
-                assert d % 4 in (2, 3), (q, a, b)
-            # (v) b = 2-2q with q odd forces ordinarity and (t+1)^4 mod 2
-            if b == 2 - 2 * q and q % 2 == 1:
-                assert gcd(b, p) == 1, (q, a, b)
-                assert gf2_factor_weil(q, a, b) == [((1, 1), 4)], (q, a, b)
-        # (iii) family B iff irreducible, base change reducible, b listed
-        a2, b2 = companion_base_change(q, a, b)
-        base_change_reducible = not brute_force_irreducible(q * q, a2, b2)
-        in_list = oracle_family_b_case(q, p, r, a, b) is not None
-        assert (kind.family is Family.PIRR_B) == (
-            irreducible and base_change_reducible and in_list
-        ), (q, a, b)
-        # (vi) the two family conditions never both hold
-        assert not (oracle_matches_family_a(q, a, b) and in_list), (q, a, b)
-    assert time.monotonic() - started < 10.0
-
-
-@_report(3, "Kummer-Dedekind agreement at odd conductor, q <= 100")
-def test_criterion_3_kummer_dedekind_agreement():
-    checked = 0
-    for f, kind in family_members(100):
-        if not kind.is_irreducible_family:
-            continue
-        delta = f.a * f.a - 4 * (f.b - 2 * f.q)
-        c, _ = trial_squarefree(delta)
-        if c % 2 == 0:
-            continue
-        checked += 1
-        expected = {
-            "irreducible": Split2.INERT,
-            "split": Split2.SPLIT,
-            "ramified": Split2.RAMIFIED,
-        }[fplus_mod2_shape(f.a, f.b - 2 * f.q)]
-        assert two_adic_data(f, kind).split2_Kplus is expected, (f.q, f.a, f.b)
-    assert checked > 0
-
-
 def _oracle_genus3_exists(q: int, p: int, r: int, a: int, b: int) -> bool:
     """Test-side verdict: trial-division squarefree part plus clause match."""
     if oracle_matches_family_a(q, a, b):
@@ -161,8 +110,117 @@ def _oracle_genus3_exists(q: int, p: int, r: int, a: int, b: int) -> bool:
     return q % 2 == 1
 
 
-@_report(4, "verdict spot-checks against the independent clause oracle")
-def test_criterion_4_verdict_spot_checks():
+# the brute-force oracles run up to BRUTE_FORCE_Q, the cheap ones up to SWEEP_Q
+BRUTE_FORCE_Q = 100
+SWEEP_Q = 512
+
+# the shape of 2 in K as the record prints it.  Family A, by the splitting of 2 in K+: two primes
+# of K over one prime of K+ are swapped by conjugation, a prime alone over its own is self-conjugate.
+_FAMILY_A_SHAPE = {
+    "Inert": "(e=1,f=2)x2;conjugate-pair",
+    "Split": "(e=1,f=2)x2;each-self-conjugate",
+    "Ramified": "(e=2,f=2)x1;self-conjugate",
+}
+# Family B, by the mod-2 reduction of f: a squared irreducible quadratic forces the inert shape, two
+# distinct linear squares the split one, (t+1)^4 total ramification.  At t^4 (q even, supersingular)
+# the order is singular at 2 and the reduction says nothing; the field shape there is the inert one.
+_FAMILY_B_SHAPE = {
+    (("t^2+t+1", 2),): "(e=2,f=2)x1;self-conjugate",
+    (("t", 2), ("t+1", 2)): "(e=2,f=1)x2;conjugate-pair",
+    (("t+1", 4),): "(e=4,f=1)x1;self-conjugate",
+    (("t", 4),): "(e=2,f=2)x1;self-conjugate",
+}
+_KUMMER_DEDEKIND = {"irreducible": "Inert", "split": "Split", "ramified": "Ramified"}
+
+
+def _oracle_columns(q: int, p: int, r: int, a: int, b: int, irreducible: bool) -> dict:
+    """The record columns of the member (q, a, b) from the oracles; not the label, nor a special's notes."""
+    in_a = oracle_matches_family_a(q, a, b)
+    case = oracle_family_b_case(q, p, r, a, b)
+    # (vi) exactly one of the two family conditions holds
+    assert in_a != (case is not None), (q, a, b)
+    delta = a * a - 4 * (b - 2 * q)
+    c, d = trial_squarefree(delta)
+    asserted = "true" if p > 2 else "unasserted"
+    columns = dict(
+        q=q, p=p, r=r, a=a, b=b, irreducible=irreducible, fplus_disc=delta, c=c, d=d,
+        curve_constraints=f"clause={'a' if in_a else 'b:' + case};not_hyperelliptic={asserted}"
+        f";bielliptic_plane_quartic={asserted};jacobian_splits_E_x_A={asserted}",
+    )
+    if not irreducible:
+        # the specials (t^2-2)^2 and (t^2-3)^2 are settled without 2-adic data
+        assert b == -2 * q and q in (2, 3), (q, a, b)
+        return columns | dict(
+            class_kind=f"SpecialQ{q}", b_case=None, ordinary=None, split2_Kplus=None,
+            K_over_Kplus_ramified=None, shape2_K=None, deg4_polarisation=None,
+            genus3_exists=q == 3, rule=f"Special-Q{q}",
+        )
+    split2 = "Inert" if d % 8 == 5 else "Split" if d % 8 == 1 else "Ramified"
+    ordinary = gcd(b, p) == 1
+    reduction = tuple(gf2_factor_names(q, a, b).items())
+    # (v) K/K+ ramifies exactly at b = 2-2q with q odd, where f = (t+1)^4 mod 2
+    ramified = b == 2 - 2 * q and q % 2 == 1
+    assert ramified == (reduction == (("t+1", 4),)), (q, a, b)
+    if in_a:
+        shape = _FAMILY_A_SHAPE[split2]
+        rule = "PirrA-inert" if split2 == "Inert" else "PirrA-noninert"
+    else:
+        # (iv) 2 ramifies in K+: d = 2, 3 mod 4
+        assert split2 == "Ramified", (q, a, b)
+        shape = _FAMILY_B_SHAPE[reduction]
+        rule = "PirrB-ordinary-coeff" if ordinary else "PirrB-supersingular-parity"
+    exists = _oracle_genus3_exists(q, p, r, a, b)
+    return columns | dict(
+        class_kind="PirrA" if in_a else "PirrB", b_case=case, ordinary=ordinary, split2_Kplus=split2,
+        K_over_Kplus_ramified=ramified, shape2_K=shape, deg4_polarisation=exists, genus3_exists=exists,
+        rule=rule, notes=None,
+    )
+
+
+@_report(2, "one member sweep: each record column against its oracle, q <= 512 (< 10 s)")
+def test_criterion_2_family_consistency_sweep():
+    started = time.monotonic()
+    seen = Counter()
+    for f, kind in family_members(SWEEP_Q):
+        record = build_record(f, kind)
+        q, p, r, a, b = f.q, record.p, record.r, f.a, f.b
+        # p is the least divisor of q above 1, so a prime, and q = p^r
+        assert p**r == q and all(q % k for k in range(2, p)), (q, p, r)
+        assert parse_label(record.label) == f, record.label
+        # (ii) the mod-2 reduction groups into two quadratics
+        assert max(gf2_degree_multiset(q, a, b)) <= 2, (q, a, b)
+        if q <= BRUTE_FORCE_Q:
+            # (i) irreducibility by exhaustive factor search
+            irreducible = brute_force_irreducible(q, a, b)
+            # (iii) a family B member becomes reducible over the quadratic extension
+            if record.class_kind == "PirrB":
+                assert not brute_force_irreducible(q * q, *companion_base_change(q, a, b)), (q, a, b)
+        else:
+            # the reducible members are the two specials, at q = 2 and 3
+            irreducible = True
+        expected = _oracle_columns(q, p, r, a, b, irreducible)
+        assert {name: getattr(record, name) for name in expected} == expected, (q, a, b)
+        if not irreducible:
+            assert record.notes.startswith("witness=") == (q == 3), record.notes
+            continue
+        # Kummer-Dedekind: at odd conductor c the factors of f+ mod 2 show how 2 splits in K+
+        if record.c % 2 == 1:
+            seen["odd c"] += 1
+            assert record.split2_Kplus == _KUMMER_DEDEKIND[fplus_mod2_shape(a, b - 2 * q)], (q, a, b)
+        # the family A coefficient shortcuts: at even q no genus-3 curve; at an even trace with
+        # a + b != 1 mod 4, 2 ramifies in K+
+        if record.class_kind == "PirrA" and q % 2 == 0:
+            seen["even q"] += 1
+            assert (record.split2_Kplus, record.genus3_exists) == ("Inert", False), (q, a, b)
+        if record.class_kind == "PirrA" and a % 2 == 0 and (a + b) % 4 != 1:
+            seen["even trace"] += 1
+            assert record.split2_Kplus == "Ramified", (q, a, b)
+    assert set(seen) == {"odd c", "even q", "even trace"}
+    assert time.monotonic() - started < 10.0
+
+
+@_report(3, "verdict spot-checks against the independent clause oracle")
+def test_criterion_3_verdict_spot_checks():
     expected_table = {
         (8, 1, -7): False,
         (5, 2, -1): True,
@@ -183,24 +241,8 @@ def test_criterion_4_verdict_spot_checks():
         assert verdict.deg4_polarisation_exists is expected, (q, a, b)
 
 
-@_report(5, "coefficient shortcuts: even q and even trace, family A, q <= 512")
-def test_criterion_5_family_a_shortcuts():
-    seen_even_q = 0
-    seen_even_trace = 0
-    for f, kind in family_members(512):
-        if kind.family is not Family.PIRR_A:
-            continue
-        if f.q % 2 == 0:
-            seen_even_q += 1
-            assert genus3_verdict(f, kind).genus3_curve_exists is False, (f.q, f.a, f.b)
-        if f.a % 2 == 0 and (f.a + f.b) % 4 != 1:
-            seen_even_trace += 1
-            assert two_adic_data(f, kind).split2_Kplus is Split2.RAMIFIED, (f.q, f.a, f.b)
-    assert seen_even_q > 0 and seen_even_trace > 0
-
-
-@_report(6, "bound fixtures and containment in the genus-3 interval, q <= 512")
-def test_criterion_6_bounds():
+@_report(4, "bound fixtures and containment in the genus-3 interval, q <= 512")
+def test_criterion_4_bounds():
     general = genus_bounds_on_surface(11, 2, 3)
     assert (general.lo, general.hi) == (8, 20)
     wres4 = weil_restriction_bounds(4)
@@ -213,8 +255,8 @@ def test_criterion_6_bounds():
         assert wres.radius < envelope.radius
 
 
-@_report(7, "full enumeration q <= 10^4 under 60 s, pinned sha256")
-def test_criterion_7_performance_and_determinism(tmp_path):
+@_report(5, "full enumeration q <= 10^4 under 60 s, pinned sha256")
+def test_criterion_5_performance_and_determinism(tmp_path):
     output = tmp_path / "enumerate.csv"
     started = time.monotonic()
     code = cli_main(

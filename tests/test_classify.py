@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from math import gcd, inf
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +22,6 @@ from weillab.classify import prime_divisors_all_1_mod_3
 from weillab.core import NotPrimePower, ceil_sqrt, weil_validity_failure
 
 from oracles import (
-    gf2_degree_multiset,
     oracle_all_prime_divisors_1_mod_3,
     oracle_family_b_case,
     oracle_matches_family_a,
@@ -229,27 +228,6 @@ def _prime_power(q):
     return prime_power_decomposition(q)
 
 
-def test_members_factor_mod_2_into_quadratics():
-    # grouped into two degree-2 factors: no irreducible factor of degree 3 or 4
-    for f, _ in family_members(SWEEP_LIMIT):
-        assert max(gf2_degree_multiset(f.q, f.a, f.b)) <= 2, (f.q, f.a, f.b)
-
-
-def test_family_b_characterisation_production_path():
-    from weillab.classify import family_b_case
-
-    from oracles import companion_base_change
-
-    for f, kind in family_members(SWEEP_LIMIT):
-        base_change = make_weil_quartic(f.q * f.q, *companion_base_change(f.q, f.a, f.b))
-        rhs = (
-            is_irreducible_over_Q(f)
-            and not is_irreducible_over_Q(base_change)
-            and family_b_case(f) is not None
-        )
-        assert (kind.family is Family.PIRR_B) == rhs, (f.q, f.a, f.b)
-
-
 # ---------------------------------------------------------------------------
 # p-rank
 
@@ -261,14 +239,6 @@ def test_p_rank_examples():
     assert p_rank_class(g, classify(g)) is PRankClass.SUPERSINGULAR
     h = make_weil_quartic(9, 0, -9)
     assert p_rank_class(h, classify(h)) is PRankClass.SUPERSINGULAR
-
-
-def test_p_rank_agrees_with_gcd_criterion():
-    for f, kind in family_members(SWEEP_LIMIT):
-        if not kind.is_irreducible_family:
-            continue
-        ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
-        assert ordinary == (gcd(f.b, f.p) == 1), (f.q, f.a, f.b)
 
 
 def _valuation(n, p):

@@ -212,6 +212,11 @@ def test_bounds_missing_flags(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "bounds", "--q", "6", "--family", "wres")
     assert code == 1
+    # a flag the family does not take is rejected, not dropped
+    code, _, err = run_cli(capsys, "bounds", "--q", "11", "--family", "wres", "--b", "-2")
+    assert code == 1
+    code, _, err = run_cli(capsys, "bounds", "--q", "11", "--family", "serre", "--g", "3", "--a", "5")
+    assert code == 1
 
 
 def test_bounds_general_rejects_a_trace_no_surface_has(capsys):

@@ -7,21 +7,17 @@ from weillab import (
     ConjugationTag,
     DegenerateDiscriminant,
     Family,
-    PRankClass,
     Split2,
     WrongKind,
     build_record,
     fplus_discriminant,
     genus3_verdict,
     make_weil_quartic,
-    p_rank_class,
     two_adic_data,
 )
 from weillab.two_adic import _CLASS_ROWS
-from oracles import gf2_factor_names, trial_squarefree
+from oracles import trial_squarefree
 from strategies import family_members, kind_of
-
-SWEEP_LIMIT = 100
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +68,6 @@ def test_degenerate_discriminant_rejected():
         _split2(make_weil_quartic(3, 0, -3), NON_MEMBER)
 
 
-def test_splitting_decided_by_d_on_members():
-    for f, kind in family_members(SWEEP_LIMIT):
-        if not kind.is_irreducible_family:
-            continue
-        _, d = trial_squarefree(fplus_discriminant(f))
-        assert d > 1
-        expected = (
-            Split2.INERT if d % 8 == 5 else Split2.SPLIT if d % 8 == 1 else Split2.RAMIFIED
-        )
-        assert d % 4 in (1, 2, 3)
-        assert _split2(f, kind) is expected
-
-
 # ---------------------------------------------------------------------------
 # ramification of K over K+
 
@@ -102,23 +85,6 @@ def test_ramification_rejects_specials():
     f, kind = kind_of(2, 0, -4)
     with pytest.raises(WrongKind):
         two_adic_data(f, kind)
-
-
-def test_ramified_members_are_ordinary_with_fourth_power_reduction():
-    seen = 0
-    for f, kind in family_members(SWEEP_LIMIT):
-        if not kind.is_irreducible_family or not two_adic_data(f, kind).K_over_Kplus_ramified:
-            continue
-        seen += 1
-        assert p_rank_class(f, kind) is PRankClass.ORDINARY
-        assert gf2_factor_names(f.q, f.a, f.b) == {"t+1": 4}, (f.q, f.a, f.b)
-    assert seen > 0
-
-
-def test_family_b_always_ramifies_in_Kplus():
-    for f, kind in family_members(SWEEP_LIMIT):
-        if kind.family is Family.PIRR_B:
-            assert _split2(f, kind) is Split2.RAMIFIED, (f.q, f.a, f.b)
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +113,10 @@ def test_shape_supersingular_members_inert():
     assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
 
 
-def _degree(shape):
-    return sum(e * fr * count for e, fr, count in shape.factors)
-
-
 def test_shape_totals_are_4():
     # e*f summed over the primes above 2 is [K:Q] = 4 for every table row
     for shape, _, _ in _CLASS_ROWS.values():
-        assert _degree(shape) == 4, shape
-    for f, kind in family_members(SWEEP_LIMIT):
-        if kind.is_irreducible_family:
-            assert _degree(two_adic_data(f, kind).shape2_K) == 4
+        assert sum(e * fr * count for e, fr, count in shape.factors) == 4, shape
 
 
 def test_every_class_row_is_met_up_to_64():
@@ -170,64 +129,6 @@ def test_every_class_row_is_met_up_to_64():
         met.setdefault(key, f.q)
     assert set(met) == set(_CLASS_ROWS)
     assert (met[Split2.SPLIT], met["b=-q", 1]) == (19, 9)
-
-
-def test_family_b_shape_trichotomy_is_exhaustive():
-    for f, kind in family_members(SWEEP_LIMIT):
-        if kind.family is not Family.PIRR_B:
-            continue
-        shape = two_adic_data(f, kind).shape2_K
-        assert shape.factors in (((4, 1, 1),), ((2, 2, 1),), ((2, 1, 2),))
-
-
-def test_family_b_shape_against_mod2_reduction():
-    # order-level cross-check wherever the mod-2 reduction is conclusive:
-    # a squared irreducible quadratic forces the inert shape, two distinct
-    # linear squares force the split shape, a fourth power of t+1 forces
-    # total ramification
-    for f, kind in family_members(SWEEP_LIMIT):
-        if kind.family is not Family.PIRR_B:
-            continue
-        shape = two_adic_data(f, kind).shape2_K.factors
-        reduction = gf2_factor_names(f.q, f.a, f.b)
-        if reduction == {"t^2+t+1": 2}:
-            assert shape == ((2, 2, 1),), (f.q, f.a, f.b)
-        elif reduction == {"t": 2, "t+1": 2}:
-            assert shape == ((2, 1, 2),), (f.q, f.a, f.b)
-        elif reduction == {"t+1": 4}:
-            assert shape == ((4, 1, 1),), (f.q, f.a, f.b)
-        else:
-            # q even supersingular: f = t^4 mod 2, the order is singular
-            # at 2 and the reduction says nothing about the field
-            assert reduction == {"t": 4}, (f.q, f.a, f.b)
-            assert shape == ((2, 2, 1),)
-
-
-def test_family_a_shape_follows_subfield_splitting():
-    for f, kind in family_members(SWEEP_LIMIT):
-        if kind.family is not Family.PIRR_A:
-            continue
-        shape = two_adic_data(f, kind).shape2_K
-        symbol = _split2(f, kind)
-        if symbol is Split2.INERT:
-            assert shape.factors == ((1, 2, 2),)
-            assert shape.conjugation is ConjugationTag.CONJUGATE_PAIR
-        elif symbol is Split2.SPLIT:
-            assert shape.factors == ((1, 2, 2),)
-            assert shape.conjugation is ConjugationTag.EACH_SELF_CONJUGATE
-        else:
-            assert shape.factors == ((2, 2, 1),)
-            assert shape.conjugation is ConjugationTag.SINGLE_SELF_CONJUGATE
-
-
-# ---------------------------------------------------------------------------
-# coefficient shortcuts
-
-
-def test_family_a_even_q_is_inert():
-    for f, kind in family_members(512):
-        if kind.family is Family.PIRR_A and f.q % 2 == 0:
-            assert _split2(f, kind) is Split2.INERT, (f.q, f.a, f.b)
 
 
 # ---------------------------------------------------------------------------

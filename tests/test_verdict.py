@@ -3,18 +3,14 @@ from __future__ import annotations
 import pytest
 
 from weillab import (
-    Family,
-    PRankClass,
     SPECIAL_Q3_WITNESS,
-    Split2,
     WrongKind,
     curve_shape_constraints,
     genus3_verdict,
-    p_rank_class,
     two_adic_data,
 )
 
-from strategies import family_members, kind_of
+from strategies import kind_of
 
 
 # ---------------------------------------------------------------------------
@@ -93,34 +89,6 @@ def test_verdict_rejects_outside():
     f, kind = kind_of(2, 0, -1)
     with pytest.raises(WrongKind):
         genus3_verdict(f, kind)
-
-
-def test_ordinary_family_b_verdict_matches_inert_shape():
-    # for ordinary Weil-restriction classes the three shapes of 2 in K
-    # partition the family and the negative verdict is exactly the inert
-    # shape; the supersingular classes are excluded (their field shape is
-    # inert for both parities while the verdict depends on the parity)
-    for f, kind in family_members(100):
-        if kind.family is not Family.PIRR_B:
-            continue
-        if p_rank_class(f, kind) is not PRankClass.ORDINARY:
-            continue
-        inert = two_adic_data(f, kind).shape2_K.factors == ((2, 2, 1),)
-        assert genus3_verdict(f, kind).deg4_polarisation_exists == (not inert), (f.q, f.a, f.b)
-
-
-def test_family_a_verdict_matches_subfield_splitting():
-    for f, kind in family_members(100):
-        if kind.family is not Family.PIRR_A:
-            continue
-        inert = two_adic_data(f, kind).split2_Kplus is Split2.INERT
-        assert genus3_verdict(f, kind).deg4_polarisation_exists == (not inert)
-
-
-def test_verdicts_are_deterministic():
-    first = [(f.q, f.a, f.b, genus3_verdict(f, k)) for f, k in family_members(50)]
-    second = [(f.q, f.a, f.b, genus3_verdict(f, k)) for f, k in family_members(50)]
-    assert first == second
 
 
 # ---------------------------------------------------------------------------
