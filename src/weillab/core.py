@@ -75,9 +75,7 @@ def is_square(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _small_primes(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, by sieve."""
-    if limit < 2:
-        return ()
+    """All primes <= limit, by sieve; limit >= 2."""
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from weillab.cli import main, prime_powers_in_range
+from weillab.cli import main, main_entry, prime_powers_in_range
 from weillab.core import InternalInvariantError
 from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, to_json_obj
 
@@ -52,6 +52,9 @@ def test_classify_requires_exactly_one_input_form(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "classify")
     assert code == 1
+    code, _, err = run_cli(capsys, "classify", "--q", "7", "--a", "0")
+    assert code == 1
+    assert "coefficient form needs all of" in err
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,7 @@ def test_label_requires_one_mode(capsys):
 # process-level behaviour
 
 
-def test_module_entry_point_round_trip():
+def test_module_entry_point_round_trip(capsys, monkeypatch):
     result = subprocess.run(
         [sys.executable, "-m", "weillab", "label", "--decode", "2.13.a_al"],
         capture_output=True,
@@ -311,6 +314,12 @@ def test_module_entry_point_round_trip():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "q=13 a=0 b=-11"
+    # the console script reads sys.argv and exits with the code of main
+    monkeypatch.setattr(sys, "argv", ["weillab", "label", "--decode", "2.13.a_al"])
+    with pytest.raises(SystemExit) as exited:
+        main_entry()
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.strip() == "q=13 a=0 b=-11"
 
 
 def test_module_entry_point_invalid_input_exit_code():

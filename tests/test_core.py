@@ -32,11 +32,6 @@ from oracles import (
 # construction and validity
 
 
-def test_make_weil_quartic_special_square():
-    f = make_weil_quartic(2, 0, -4)
-    assert (f.q, f.p, f.r, f.a, f.b) == (2, 2, 1, 0, -4)
-
-
 def test_make_rejects_non_weil_pair():
     # b beyond the positive-discriminant range of the real factor
     with pytest.raises(NotWeil):
@@ -59,13 +54,6 @@ def test_prime_power_cache_is_bounded():
     for p in primes:
         make_weil_quartic(p, 0, 0)
     assert prime_power_decomposition.cache_info().currsize <= maxsize
-
-
-def test_prime_power_fields():
-    assert make_weil_quartic(8, 0, -8).p == 2
-    assert make_weil_quartic(8, 0, -8).r == 3
-    assert make_weil_quartic(49, 0, -49).r == 2
-    assert make_weil_quartic(97, 0, -97 * 2 + 1).p == 97
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(50))
@@ -228,19 +216,6 @@ def test_ceil_sqrt():
 # label codec
 
 
-def test_render_label_examples():
-    assert str(render_label(make_weil_quartic(2, 0, -1))) == "2.2.a_ab"
-    assert str(render_label(make_weil_quartic(13, 0, -11))) == "2.13.a_al"
-    assert str(render_label(make_weil_quartic(3, 0, -6))) == "2.3.a_ag"
-
-
-def test_parse_label_examples():
-    f = parse_label("2.2.a_ab")
-    assert (f.q, f.a, f.b) == (2, 0, -1)
-    g = parse_label("2.13.a_al")
-    assert (g.q, g.a, g.b) == (13, 0, -11)
-
-
 def test_label_round_trip_multi_digit():
     # coefficients beyond one base-26 digit
     f = make_weil_quartic(997, 30, -50)
@@ -294,7 +269,7 @@ def test_parse_label_rejects_non_canonical_field_size(text):
         parse_label(text)
 
 
-@pytest.mark.parametrize("text", ["2.2.a_ab", "2.13.a_al", "2.997.be_aby", "2.8.b_ah", "2.1024.abe_aeu"])
+@pytest.mark.parametrize("text", ["2.2.a_ab", "2.13.a_al", "2.3.a_ag", "2.997.be_aby", "2.8.b_ah", "2.1024.abe_aeu"])
 def test_render_label_inverts_parse_label(text):
     assert str(render_label(parse_label(text))) == text
 

