@@ -16,6 +16,23 @@ from strategies import kind_of
 # degree-4 polarisation
 
 
+@pytest.mark.parametrize(
+    "q,a,b,expected",
+    [
+        (8, 1, -7, False),  # 2 inert in K+ (d = 93)
+        (5, 2, -1, True),  # d = 3, ramified
+        (7, 0, -13, False),  # ordinary, b = 1-2q, q odd
+        (7, 0, -12, True),  # b = 2-2q escapes both exclusion clauses
+        (2, 0, -3, True),  # ordinary, b = 1-2q but q even
+        (2, 0, -2, False),  # supersingular, q even
+        (9, 0, -9, True),  # supersingular, q odd
+    ],
+)
+def test_degree4_table(q, a, b, expected):
+    f, kind = kind_of(q, a, b)
+    assert genus3_verdict(f, kind).deg4_polarisation_exists is expected
+
+
 def test_degree4_rejects_specials_and_outside():
     # a special is settled without the criterion: no flag, and no 2-adic data to read one from
     f, kind = kind_of(2, 0, -4)
