@@ -16,8 +16,12 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
@@ -125,12 +129,10 @@ def prime_powers_in_range(lo: int, hi: int) -> list[int]:
     return found
 
 
-def _summary_line(q_min: int, q_max: int, records: list[ClassRecord]) -> str:
-    kinds = Counter(record.class_kind for record in records)
-    genus3 = Counter(record.genus3_exists for record in records)
+def _summary_line(q_min: int, q_max: int, kinds: Counter, genus3: Counter) -> str:
     kind_part = " ".join(f"{k.value}={kinds[k.value]}" for k in Family if k is not Family.OUTSIDE)
     return (
-        f"summary q={q_min}..{q_max}: records={len(records)} {kind_part} "
+        f"summary q={q_min}..{q_max}: records={sum(kinds.values())} {kind_part} "
         f"genus3_yes={genus3[True]} genus3_no={genus3[False]}"
     )
 
@@ -157,6 +159,49 @@ def _table_cell(record: ClassRecord, name: str) -> str:
     return str(value)
 
 
+def _open_output(path: str) -> AbstractContextManager[io.TextIOBase]:
+    """The sink of ``--output PATH``, refusing at once what ``open(PATH, "w")`` refuses.
+
+    A regular file, or a path where none exists yet, is written through
+    ``_replace_on_success``.  Anything else (a device such as /dev/null, a
+    pipe) has no old bytes to keep and must not be replaced, so it is
+    opened as it is.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return _replace_on_success(path, None)
+    if not stat.S_ISREG(mode):
+        return open(path, "w", encoding="utf-8", newline="")
+    os.close(os.open(path, os.O_WRONLY))  # a file we may not write fails here, before any work
+    return _replace_on_success(path, stat.S_IMODE(mode))
+
+
+@contextmanager
+def _replace_on_success(path: str, mode: int | None) -> Iterator[io.TextIOBase]:
+    """A text file that appears at ``path`` only if the block completes.
+
+    The block writes a new file beside ``path``, with ``mode`` (that of
+    the file it replaces) or, for a new file, 0o666 less the umask, as
+    ``open(path, "w")`` gives.  ``os.replace`` moves it into place on
+    success; any exception, KeyboardInterrupt included, deletes it and
+    leaves ``path`` as it was.
+    """
+    target = os.path.realpath(path)  # through a symbolic link, as open() writes, not over it
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as sink:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            yield sink
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     q_min, q_max = args.q_min, args.q_max
     if q_min < 2 or q_min > q_max:
@@ -164,28 +209,32 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     _check_q(q_max)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
-    records = [record for q in prime_powers_in_range(q_min, q_max) for record in records_for_q(q)]
-    if args.only_no_genus3:
-        records = [record for record in records if record.genus3_exists is False]
-
-    sink = open(args.output, "w", encoding="utf-8", newline="") if args.output else out
-    try:
+    kinds: Counter = Counter()
+    genus3: Counter = Counter()
+    # each q's records are written and dropped before the next q; only the
+    # table format holds them all, for its column widths
+    table: list[ClassRecord] = []
+    with _open_output(args.output) if args.output else nullcontext(out) as sink:
         if args.format == "csv":
             writer = csv.writer(sink, lineterminator="\n")
             writer.writerow(FIELD_NAMES)
-            for record in records:
-                writer.writerow(csv_row(record))
-        elif args.format == "json":
-            for record in records:
-                sink.write(to_json_line(record) + "\n")
-        else:
-            _render_table(records, sink)
-    finally:
-        if args.output:
-            sink.close()
+        # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
+        for q in prime_powers_in_range(q_min, q_max):
+            records = records_for_q(q)
+            if args.only_no_genus3:
+                records = [record for record in records if record.genus3_exists is False]
+            if args.format == "csv":
+                writer.writerows(csv_row(record) for record in records)
+            elif args.format == "json":
+                sink.writelines(to_json_line(record) + "\n" for record in records)
+            else:
+                table.extend(records)
+            kinds.update(record.class_kind for record in records)
+            genus3.update(record.genus3_exists for record in records)
+        if args.format == "table":
+            _render_table(table, sink)
 
-    summary = _summary_line(q_min, q_max, records)
+    summary = _summary_line(q_min, q_max, kinds, genus3)
     if args.format == "table" and not args.output:
         out.write(summary + "\n")
     else:

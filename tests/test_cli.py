@@ -3,8 +3,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -150,7 +154,125 @@ def test_enumerate_failing_partway_exits_2_and_writes_no_file(tmp_path, capsys, 
     )
     assert (code, out) == (2, "")
     assert err.startswith("internal error: ")
-    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a temporary file
+
+
+@pytest.mark.parametrize("failure", [InternalInvariantError, KeyboardInterrupt])
+def test_enumerate_failing_partway_keeps_an_existing_output_file(tmp_path, capsys, monkeypatch, failure):
+    def fail_above_3(q):
+        if q > 3:
+            raise failure(f"q={q}")
+        return records_for_q(q)
+
+    monkeypatch.setattr("weillab.cli.records_for_q", fail_above_3)
+    target = tmp_path / "classes.csv"
+    target.write_bytes(b"old bytes\n")
+    argv = ("enumerate", "--q-min", "2", "--q-max", "7", "--format", "csv", "--output", str(target))
+    if failure is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(list(argv))
+    else:
+        assert run_cli(capsys, *argv)[:2] == (2, "")
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_enumerate_output_file_mode(tmp_path, capsys):
+    # the mode open(path, "w") gives: 0o666 less the umask for a new file, the old mode for an existing one
+    argv = ("enumerate", "--q-min", "2", "--q-max", "3", "--format", "csv", "--output")
+    umask = os.umask(0o027)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli(capsys, *argv, str(fresh))[0] == 0
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        assert run_cli(capsys, *argv, str(existing))[0] == 0
+    finally:
+        os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o640
+    assert existing.stat().st_mode & 0o777 == 0o604
+    assert existing.read_text() == fresh.read_text()
+
+
+def test_enumerate_output_to_a_pipe_streams_into_it(tmp_path, capsys):
+    # a device or pipe (say /dev/null) is written as it is, never replaced by a regular file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    code, out, _ = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--format", "csv", "--output", str(pipe))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert (code, out) == (0, "")
+    assert received[0].decode().splitlines()[0] == ",".join(FIELD_NAMES)
+    assert len(received[0].splitlines()) == 9
+    assert list(tmp_path.iterdir()) == [pipe] and pipe.is_fifo()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["directory", pytest.param("read-only", marks=pytest.mark.skipif(os.geteuid() == 0, reason="root writes any file"))],
+)
+def test_enumerate_refuses_an_unwritable_output_before_any_work(tmp_path, capsys, monkeypatch, kind):
+    # what open(path, "w") refuses exits 1 at once, and a write-protected file is not replaced
+    def refuse(q):
+        raise AssertionError(f"q={q} was enumerated before --output was checked")
+
+    monkeypatch.setattr("weillab.cli.records_for_q", refuse)
+    target = tmp_path / "classes.csv"
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o444)
+    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--format", "csv", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.is_dir() if kind == "directory" else target.read_bytes() == b"old bytes\n"
+
+
+def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
+    # 310 and 2,136 records: a run that held every record would peak about 4x higher on the wider range
+    target = str(tmp_path / "classes.csv")
+
+    def traced_peak(q_max):
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", "--q-min", "20000", "--q-max", str(q_max), "--format", "csv", "--output", target])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    # fill the factorisation caches first, so that neither traced run pays for them
+    assert main(["enumerate", "--q-min", "20000", "--q-max", "20500", "--format", "csv", "--output", target]) == 0
+    narrow, wide = traced_peak(20100), traced_peak(20500)
+    capsys.readouterr()
+    assert wide < 2 * narrow
+
+
+@pytest.mark.parametrize("only_no_genus3", [False, True])
+def test_enumerate_summary_line_counts_the_written_records(capsys, only_no_genus3):
+    flags = ("--only-no-genus3",) if only_no_genus3 else ()
+    code, _, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "100", "--format", "csv", *flags)
+    records = [
+        record
+        for q in prime_powers_in_range(2, 100)
+        for record in records_for_q(q)
+        if not only_no_genus3 or record.genus3_exists is False
+    ]
+    kinds = Counter(record.class_kind for record in records)
+    genus3 = Counter(record.genus3_exists for record in records)
+    assert code == 0
+    assert err == (
+        f"summary q=2..100: records={len(records)} PirrA={kinds['PirrA']} PirrB={kinds['PirrB']} "
+        f"SpecialQ2={kinds['SpecialQ2']} SpecialQ3={kinds['SpecialQ3']} "
+        f"genus3_yes={genus3[True]} genus3_no={genus3[False]}\n"
+    )
 
 
 def test_enumerate_byte_identical_across_runs_and_jobs(capsys):
