@@ -195,6 +195,19 @@ def test_enumerate_output_file_mode(tmp_path, capsys):
     assert existing.read_text() == fresh.read_text()
 
 
+def test_enumerate_output_through_a_symbolic_link(tmp_path, capsys):
+    # open(path, "w") wrote through a link; the link must not become a regular file
+    target = tmp_path / "classes.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--format", "csv", "--output", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().splitlines()[0] == ",".join(FIELD_NAMES)
+    assert sorted(tmp_path.iterdir()) == [target, link]
+
+
 def test_enumerate_output_to_a_pipe_streams_into_it(tmp_path, capsys):
     # a device or pipe (say /dev/null) is written as it is, never replaced by a regular file
     pipe = tmp_path / "pipe"
