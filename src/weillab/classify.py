@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .core import (
     InternalInvariantError,
@@ -34,7 +35,9 @@ from .core import (
     is_irreducible_over_Q,
     make_weil_quartic,
     require_prime_power,
-    trial_primes,
+    trial_limit,
+    _product,
+    _small_primes,
 )
 
 
@@ -93,20 +96,21 @@ def prime_divisors_all_1_mod_3(m: int) -> bool:
     """True iff every prime divisor of 1 <= m < 2^40 is congruent to 1 mod 3.
 
     Such primes are odd, so their products, m = 1 among them, are 1 mod 6;
-    any other m is rejected without a division.  Early exit on the first
-    bad prime.
+    any other m is rejected without a division.  Otherwise m is tested
+    against the product of the primes not 1 mod 3 up to trial_limit(m),
+    which lies above sqrt(m).  If they are coprime, every prime factor
+    up to that bound is 1 mod 3, and at most one prime factor lies above
+    it; that one is then 1 mod 3 too, since m is.
     """
     if m % 6 != 1:
         return False
-    for p in trial_primes(m):
-        if p * p > m:
-            break
-        if m % p == 0:
-            if p % 3 != 1:
-                return False
-            while m % p == 0:
-                m //= p
-    return m % 3 == 1
+    return gcd(m, _primorial_not_1_mod_3(trial_limit(m))) == 1
+
+
+@lru_cache(maxsize=None)
+def _primorial_not_1_mod_3(limit: int) -> int:
+    """The product of the primes <= limit that are not 1 mod 3; limit >= 2."""
+    return _product([p for p in _small_primes(limit) if p % 3 != 1])
 
 
 def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:

@@ -7,6 +7,8 @@ Subcommands:
     label      label codec utilities
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
+A reader that goes away (a closed pipe) stops the run with exit 0 and no
+message.
 Every subcommand refuses q above the safe bound SAFE_BOUND = 10^6.
 """
 
@@ -288,7 +290,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     out, err = sys.stdout, sys.stderr
     try:
-        return args.handler(args, out, err)
+        code = args.handler(args, out, err)
+        out.flush()  # a reader that went away shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (say `| head`), a normal stop; stdout now goes
+        # to devnull, so what is still buffered for it cannot fail at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1

@@ -19,16 +19,20 @@ decided here by three exact integer inequalities:
 All arithmetic is plain Python integer arithmetic, hence exact.  Trial
 division accepts 1 <= n < 2^40 and raises ValueError beyond, before any
 sieve is built, so a q that large is refused by make_weil_quartic.
-disc(f+) <= 16q in the Weil region, so every class with q < 2^36 builds
-a record.  The command line front end refuses q above its safe bound.
+squarefree_part does not trial-divide: it takes gcds of n against the
+product of the primes up to the cube root of |n| (a primorial, cached
+per power-of-two bound), with the same 2^40 ceiling.  disc(f+) <= 16q
+in the Weil region, so every class with q < 2^36 builds a record.  The
+command line front end refuses q above its safe bound.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 
 
 class NotPrimePower(ValueError):
@@ -85,23 +89,45 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-def trial_primes(n: int) -> tuple[int, ...]:
-    """All primes up to at least sqrt(n), for trial division of 1 <= n < 2^40.
+def trial_limit(n: int) -> int:
+    """A power of two above sqrt(n): the prime bound of trial division of 1 <= n < 2^40.
 
-    Raises ValueError outside that range before building a sieve, which
-    therefore has at most 2^21 entries.
+    Raises ValueError outside that range before any sieve or prime
+    product is built; a sieve to this bound has at most 2^21 entries.
     """
+    _require_below_2_40(n)
+    # rounded up to a power of two so the caches keyed on it are reused
+    return 1 << (isqrt(n) + 1).bit_length()
+
+
+def _require_below_2_40(n: int) -> None:
     if not 1 <= n < 1 << 40:
-        raise ValueError(f"trial division expects 1 <= n < 2^40, got {n}")
-    # sieve limit rounded up to a power of two so the cache is reused
-    return _small_primes(1 << (isqrt(n) + 1).bit_length())
+        raise ValueError(f"factorisation expects 1 <= n < 2^40, got {n}")
+
+
+def _product(values: Sequence[int]) -> int:
+    """The product of values, multiplied as a balanced tree.
+
+    A running product of n primes takes time quadratic in n; halves of
+    equal size let large products use fast multiplication.
+    """
+    if len(values) <= 32:
+        return prod(values)
+    half = len(values) // 2
+    return _product(values[:half]) * _product(values[half:])
+
+
+@lru_cache(maxsize=None)
+def _primorial(limit: int) -> int:
+    """The product of all primes <= limit; limit >= 2."""
+    return _product(_small_primes(limit))
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}."""
     factors: dict[int, int] = {}
     m = n
-    for p in trial_primes(n):
+    for p in _small_primes(trial_limit(n)):
         if p * p > m:
             break
         while m % p == 0:
@@ -141,16 +167,38 @@ def squarefree_part(n: int) -> tuple[int, int]:
     """Decompose n != 0 as n = c^2 * d with c > 0 and d squarefree.
 
     The sign of d equals the sign of n, e.g. squarefree_part(48) == (4, 3)
-    and squarefree_part(-48) == (4, -3).
+    and squarefree_part(-48) == (4, -3).  Accepts 0 < |n| < 2^40.
+
+    Let P be the product of the primes up to B, the least power of two
+    with B^3 > |n|.  The layers a_1 = gcd(|n|, P) and a_{k+1} =
+    gcd(|n| / (a_1...a_k), a_k) hold the primes up to B whose exponent
+    is at least k, so the part of |n| over those primes is
+    (a_2 a_4 ...)^2 * (a_1/a_2 * a_3/a_4 ...).  What is left has every
+    prime factor above B, hence at most two of them, and is a square
+    exactly when it is 1 or a prime squared.
     """
     if n == 0:
         raise ValueError("squarefree_part of 0 is undefined")
-    c = 1
-    d = 1
-    for p, e in factorize(abs(n)).items():
-        c *= p ** (e // 2)
-        if e % 2:
-            d *= p
+    m = abs(n)
+    _require_below_2_40(m)
+    # B = 2^k with 3k >= bit_length(m) is the least power of two with B^3 > m
+    layer = gcd(m, _primorial(1 << -(-m.bit_length() // 3)))
+    c = d = 1
+    odd = True
+    while layer > 1:
+        m //= layer
+        deeper = gcd(m, layer)
+        if odd:
+            d *= layer // deeper
+        else:
+            c *= layer
+        odd = not odd
+        layer = deeper
+    root = isqrt(m)
+    if root * root == m:
+        c *= root
+    else:
+        d *= m
     return c, d if n > 0 else -d
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
-from .verdict import curve_shape_constraints, genus3_verdict
+from .verdict import Genus3Verdict, curve_shape_constraints, genus3_verdict
 
 
 @dataclass(frozen=True)
@@ -45,57 +45,65 @@ class ClassRecord:
 FIELD_NAMES = tuple(f.name for f in fields(ClassRecord))
 
 
+# (kind, splitting of 2 in K+, p == 2, a == 0) of a family member -> its record cells
+# before and after (fplus_disc, c, d); kinds come from classify, so there are a few dozen keys
+_MEMBER_CELLS: dict[tuple, tuple[tuple, tuple]] = {}
+
+
 def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     """Full record for one class; kind is classified when not supplied.
 
-    Each derived quantity is computed once.  For every family member
-    :func:`genus3_verdict` decides the verdict, and for family A and B it
-    carries the 2-adic data (c, d, splitting, shape and ramification)
-    that the record reads.  The irreducible column is read from
-    ``kind``, which classify settled: family members are irreducible,
-    the two specials are not, and only an Outside class is tested here.
+    A record is a head (q, p, r, a, b, label and the discriminant of f+
+    as c^2 * d, from its one squarefree decomposition) and cells the
+    class decides.  For every family member :func:`genus3_verdict`
+    decides the verdict, and for family A and B it carries the 2-adic
+    data (splitting, shape and ramification) that the record reads.  A
+    member's cells depend only on its kind, that splitting, whether p = 2
+    and whether a = 0, so they are derived once per such key.  The
+    irreducible column is read from ``kind``, which classify settled:
+    family members are irreducible, the two specials are not, and only
+    an Outside class is tested here.
     """
     if kind is None:
         kind = classify(f)
     delta = fplus_discriminant(f)
-    verdict = data = None
-    notes: list[str] = []
+    c, d = squarefree_part(delta) if delta != 0 else (None, None)
     if kind.family is Family.OUTSIDE:
-        notes.append(f"reason={kind.reason}")
+        lead = (kind.family.value, None, None, is_irreducible_over_Q(f))
+        rest = (None,) * 7 + (f"reason={kind.reason}",)  # no 2-adic data and no verdict
     else:
         verdict = genus3_verdict(f, kind)
-        data = verdict.two_adic
-        if verdict.witness:
-            notes.append(f"witness={verdict.witness}")
-        if verdict.note:
-            notes.append(verdict.note)
-    if data is not None:
-        c, d = data.c, data.d
+        split2 = None if verdict.two_adic is None else verdict.two_adic.split2_Kplus
+        key = (kind, split2, f.p == 2, f.a == 0)
+        cells = _MEMBER_CELLS.get(key)
+        if cells is None:
+            cells = _MEMBER_CELLS[key] = _member_cells(f, kind, verdict)
+        lead, rest = cells
+    return ClassRecord(f.q, f.p, f.r, f.a, f.b, render_label(f), *lead, delta, c, d, *rest)
+
+
+def _member_cells(f: WeilQuartic, kind: ClassKind, verdict: Genus3Verdict) -> tuple[tuple, tuple]:
+    # the cells of a family member's record before and after (fplus_disc, c, d)
+    data = verdict.two_adic
+    notes = [f"witness={verdict.witness}"] if verdict.witness else []
+    if verdict.note:
+        notes.append(verdict.note)
+    if data is None:
+        lead = (kind.family.value, None, None, kind.is_irreducible_family)
+        two_adic = (None, None, None)
     else:
-        c, d = squarefree_part(delta) if delta != 0 else (None, None)
-    return ClassRecord(
-        q=f.q,
-        p=f.p,
-        r=f.r,
-        a=f.a,
-        b=f.b,
-        label=render_label(f),
-        class_kind=kind.family.value,
-        b_case=None if data is None else kind.b_case,
-        ordinary=None if data is None else p_rank_class(f, kind) is PRankClass.ORDINARY,
-        irreducible=is_irreducible_over_Q(f) if kind.family is Family.OUTSIDE else kind.is_irreducible_family,
-        fplus_disc=delta,
-        c=c,
-        d=d,
-        split2_Kplus=None if data is None else data.split2_Kplus.value,
-        K_over_Kplus_ramified=None if data is None else data.K_over_Kplus_ramified,
-        shape2_K=None if data is None else str(data.shape2_K),
-        deg4_polarisation=None if verdict is None else verdict.deg4_polarisation_exists,
-        genus3_exists=None if verdict is None else verdict.genus3_curve_exists,
-        rule=None if verdict is None else verdict.rule,
-        curve_constraints=None if verdict is None else curve_shape_constraints(f, kind),
-        notes="; ".join(notes) if notes else None,
+        ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
+        lead = (kind.family.value, kind.b_case, ordinary, kind.is_irreducible_family)
+        two_adic = (data.split2_Kplus.value, data.K_over_Kplus_ramified, str(data.shape2_K))
+    rest = (
+        *two_adic,
+        verdict.deg4_polarisation_exists,
+        verdict.genus3_curve_exists,
+        verdict.rule,
+        curve_shape_constraints(f, kind),
+        "; ".join(notes) if notes else None,
     )
+    return lead, rest
 
 
 def records_for_q(q: int) -> list[ClassRecord]:

@@ -11,7 +11,10 @@ of 2 in K+ depends on d alone:
 
 This is a field-level criterion; the factorisation of f+ mod 2 only
 agrees with it when c is odd, which the test suite checks but the
-implementation never relies on.
+implementation never relies on.  Every odd square is 1 mod 8, so d mod 8
+is read from delta = 2^e*m with m odd, with no factorisation: 2 ramifies
+iff e is odd or m = 3 mod 4, and otherwise splits iff m = 1 mod 8 and is
+inert iff m = 5 mod 8.
 
 Every other fact of a class is read from one table, ``_CLASS_ROWS``:
 one row per class key (the splitting of 2 in K+ for family A, the
@@ -34,7 +37,7 @@ from .classify import (
     _IRREDUCIBLE_FAMILIES,
     _require_family,
 )
-from .core import WeilQuartic, fplus_discriminant, squarefree_part
+from .core import WeilQuartic, fplus_discriminant, is_square
 
 
 class DegenerateDiscriminant(ValueError):
@@ -74,19 +77,18 @@ class Shape2:
 @dataclass(frozen=True)
 class TwoAdicData:
     delta: int
-    c: int
-    d: int
     split2_Kplus: Split2
     K_over_Kplus_ramified: bool
     shape2_K: Shape2
 
 
-def _split2_from_d(d: int) -> Split2:
-    if d % 8 == 5:
-        return Split2.INERT
-    if d % 8 == 1:
-        return Split2.SPLIT
-    return Split2.RAMIFIED
+def _split2_from_delta(delta: int) -> Split2:
+    """The splitting of 2 in Q(sqrt(delta)) for a positive non-square delta."""
+    e = (delta & -delta).bit_length() - 1
+    m = delta >> e
+    if e % 2 or m % 4 == 3:
+        return Split2.RAMIFIED
+    return Split2.SPLIT if m % 8 == 1 else Split2.INERT
 
 
 _SINGLE = ConjugationTag.SINGLE_SELF_CONJUGATE
@@ -118,26 +120,23 @@ def _class_row(kind: ClassKind, q: int, split2: Split2) -> tuple[Shape2, bool, s
 def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     """Bundle of the 2-adic invariants of an irreducible family member.
 
-    The discriminant of f+ is factorised once; its squarefree part d
-    gives the splitting of 2 in K+, and the class's ``_CLASS_ROWS`` row
-    the shape of 2 in K.  An Outside or special kind raises WrongKind
+    The 2-adic class of the discriminant delta of f+ gives the splitting
+    of 2 in K+, with no factorisation, and the class's ``_CLASS_ROWS``
+    row the shape of 2 in K.  An Outside or special kind raises WrongKind
     before the discriminant is read, a family B kind whose
     (pattern, q mod 2) has no row raises WrongKind after it.  K/K+ is
     ramified exactly for the family B pattern b = 2-2q, whose p > 2.
-    Raises DegenerateDiscriminant unless delta > 0 and d != 1.
+    Raises DegenerateDiscriminant unless delta is positive and not a square.
     """
     _require_family(kind, "two_adic_data", _IRREDUCIBLE_FAMILIES)
     delta = fplus_discriminant(f)
     if delta <= 0:
         raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
-    c, d = squarefree_part(delta)
-    if d == 1:
+    if is_square(delta):
         raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
-    split2 = _split2_from_d(d)
+    split2 = _split2_from_delta(delta)
     return TwoAdicData(
         delta=delta,
-        c=c,
-        d=d,
         split2_Kplus=split2,
         K_over_Kplus_ramified=kind.b_case == B_CASE_2_MINUS_2Q,
         shape2_K=_class_row(kind, f.q, split2)[0],

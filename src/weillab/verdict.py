@@ -39,8 +39,8 @@ class Genus3Verdict:
     ``deg4_polarisation_exists`` is None for the two special classes,
     which are settled without the polarisation criterion.  For family A
     and B the two booleans coincide, and ``two_adic`` holds the 2-adic
-    data the verdict was read from (its d gives the d mod 8 residue of
-    the family A rule); it is None for the two specials.
+    data the verdict was read from (its splitting of 2 in K+, fixed by
+    d mod 8, decides the family A rule); it is None for the two specials.
     """
 
     deg4_polarisation_exists: bool | None

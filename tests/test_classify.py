@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from math import inf
+from math import inf, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,20 +141,44 @@ def test_enumerate_sorted_and_duplicate_free():
         (14, False),
         (91, True),  # 7 * 13
         (1729, True),  # 7 * 13 * 19
-        (25, False),  # 1 mod 6, rejected by the division loop
+        (25, False),  # 1 mod 6, rejected by the gcd
         (55, False),
         (121, False),
         (10000141, True),  # a prime 1 mod 3 above 10^7
+        (130973 * 131009, False),  # two primes 2 mod 3 just below and above sqrt(m)
+        (2063**2, False),  # the square of a prime 2 mod 3
+        (7 * 13 * 130981, True),  # a prime 1 mod 3 above sqrt(m)
+        (7**14, True),
+        (13**10, True),
+        (2**39, False),
+        (3**24, False),
     ],
 )
 def test_prime_divisors_all_1_mod_3_examples(m, expected):
     assert prime_divisors_all_1_mod_3(m) is expected
 
 
+_PRIMES_1_MOD_3 = [p for p in range(7, 1 << 10, 6) if all(p % k for k in range(2, p))]
+
+
+@st.composite
+def _passing_part_times_cofactor(draw):
+    """m < 2^34: a product of primes 1 mod 3 below 2^10, times a cofactor that may or may not pass."""
+    part = prod(draw(st.lists(st.sampled_from(_PRIMES_1_MOD_3), max_size=3)))
+    limit = min(2**20, (2**34 - 1) // part)
+    return part * draw(st.one_of(st.integers(1, limit), st.integers(0, (limit - 1) // 6).map(lambda k: 6 * k + 1)))
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(st.integers(1, 12 * 10**6), st.integers(0, 2 * 10**6 - 1).map(lambda k: 6 * k + 1)))
+@given(
+    st.one_of(
+        st.integers(1, 12 * 10**6),
+        st.integers(0, 2 * 10**6 - 1).map(lambda k: 6 * k + 1),
+        _passing_part_times_cofactor(),
+    )
+)
 def test_prime_divisors_all_1_mod_3_matches_oracle(m):
-    # the second strategy draws m = 1 mod 6, the values the division loop decides
+    # the second and third strategies draw m = 1 mod 6, the values the gcd decides
     assert prime_divisors_all_1_mod_3(m) == oracle_all_prime_divisors_1_mod_3(m)
 
 

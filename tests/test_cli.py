@@ -466,6 +466,20 @@ def test_module_entry_point_invalid_input_exit_code():
     assert result.returncode == 1
 
 
+def test_enumerate_into_a_pipe_closed_after_the_header_exits_0_silently():
+    # far more rows than a pipe buffers, so the run is still writing when its reader goes away
+    process = subprocess.Popen(
+        [sys.executable, "-m", "weillab", "enumerate", "--q-min", "2", "--q-max", "3000", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert process.stdout.readline().rstrip("\n") == ",".join(FIELD_NAMES)
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=60)
+    assert (process.returncode, stderr) == (0, "")
+
+
 def test_usage_error_exits_1():
     result = subprocess.run(
         [sys.executable, "-m", "weillab", "enumerate", "--q-min", "2"],

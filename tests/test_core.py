@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weillab import (
     MalformedLabel,
@@ -24,6 +26,7 @@ from oracles import (
     gf2_factor_names,
     has_weil_root_moduli,
     prime_powers_up_to,
+    trial_squarefree,
     valid_pairs_for_q,
 )
 
@@ -142,6 +145,13 @@ def test_squarefree_part_examples():
     assert squarefree_part(1) == (1, 1)
     assert squarefree_part(-48) == (4, -3)
     assert squarefree_part(-1) == (1, -1)
+    # the gcd bound B is the least power of two with B^3 > |n|; the primes above it are left over
+    assert squarefree_part(3 * 2053**2) == (2053, 3)  # a prime square above B = 2^8
+    assert squarefree_part(1021 * 2053**2) == (2053, 1021)  # 2053: the least prime above B = 2^11
+    assert squarefree_part(1009 * 1013) == (1, 1009 * 1013)  # two primes above B = 2^7
+    assert squarefree_part(-4 * 4099 * 4111) == (2, -4099 * 4111)  # the same above 2^9, and a square below
+    assert squarefree_part(2**39) == (2**19, 2)
+    assert squarefree_part(-(3**24)) == (3**12, -1)
 
 
 def test_squarefree_part_of_zero_rejected():
@@ -150,8 +160,6 @@ def test_squarefree_part_of_zero_rejected():
 
 
 def test_squarefree_part_sampled():
-    from oracles import trial_squarefree
-
     rng = random.Random(20240811)
     sample = [rng.randint(1, 10**6) for _ in range(400)]
     sample += [-n for n in sample[:100]] + list(range(1, 200))
@@ -165,6 +173,16 @@ def test_squarefree_part_sampled():
         while k * k <= m:
             assert m % (k * k) != 0, (n, d)
             k += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # below 2^34, where the division-only oracle stays fast; the second strategy draws square factors
+    st.one_of(st.integers(1, 2**34 - 1), st.builds(lambda c, d: c * c * d, st.integers(1, 2**12), st.integers(1, 2**10))),
+    st.sampled_from((1, -1)),
+)
+def test_squarefree_part_matches_oracle(n, sign):
+    assert squarefree_part(sign * n) == trial_squarefree(sign * n)
 
 
 # ---------------------------------------------------------------------------

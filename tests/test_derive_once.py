@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from weillab import (
+    Split2,
     build_record,
     fplus_discriminant,
     genus3_verdict,
@@ -24,7 +25,7 @@ from weillab import (
 )
 from weillab.classify import Family, classify
 
-from strategies import family_members
+from strategies import family_members, kind_of
 
 
 def test_record_fields_equal_single_function_path():
@@ -115,16 +116,34 @@ def test_one_two_adic_data_call_per_family_record(monkeypatch, q, a, b, calls):
     assert counts["two_adic_data"] == calls
 
 
+# family A members at q = 1 mod 8 with a = 2 mod 4, where v2(delta) is unbounded; with
+# delta = 2^e * m, m odd: e = 8 split, 10 inert, 12 split and inert, 13 and 16 ramified
+HIGH_V2_MEMBERS = [
+    (1217, 2, -1213),
+    (1873, 18, -1549),
+    (19457, 2, -19453),
+    (7177, -6, -7141),
+    (10289, 14, -10093),
+    (16433, -14, -16237),
+]
+_SPLIT_BY_D_MOD_8 = {1: Split2.SPLIT, 5: Split2.INERT}
+
+
 def test_verdict_carries_the_two_adic_data_it_was_read_from():
+    high_v2 = [kind_of(q, a, b) for q, a, b in HIGH_V2_MEMBERS]
+    assert all(kind.family is Family.PIRR_A for _, kind in high_v2)
     inert_rules = 0
-    for f, kind in family_members(512):
+    for f, kind in [*family_members(512), *high_v2]:
         verdict = genus3_verdict(f, kind)
         if not kind.is_irreducible_family:
             assert verdict.two_adic is None
             continue
         assert verdict.two_adic == two_adic_data(f, kind)
+        # the field-level criterion of the two_adic module: d mod 8 of delta = c^2 * d
+        d = squarefree_part(verdict.two_adic.delta)[1]
+        assert verdict.two_adic.split2_Kplus is _SPLIT_BY_D_MOD_8.get(d % 8, Split2.RAMIFIED), (f.q, f.a, f.b)
         if kind.family is Family.PIRR_A:
-            inert = verdict.two_adic.d % 8 == 5
+            inert = d % 8 == 5
             assert (verdict.rule == "PirrA-inert") == inert, (f.q, f.a, f.b)
             inert_rules += inert
     assert inert_rules > 0
