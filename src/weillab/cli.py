@@ -15,7 +15,6 @@ Every subcommand refuses q above the safe bound SAFE_BOUND = 10^6.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -218,15 +217,14 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     table: list[ClassRecord] = []
     with _open_output(args.output) if args.output else nullcontext(out) as sink:
         if args.format == "csv":
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(FIELD_NAMES)
+            sink.write(",".join(FIELD_NAMES) + "\n")
         # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
         for q in prime_powers_in_range(q_min, q_max):
             records = records_for_q(q)
             if args.only_no_genus3:
                 records = [record for record in records if record.genus3_exists is False]
             if args.format == "csv":
-                writer.writerows(csv_row(record) for record in records)
+                sink.writelines(csv_row(record) for record in records)
             elif args.format == "json":
                 sink.writelines(to_json_line(record) + "\n" for record in records)
             else:

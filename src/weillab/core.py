@@ -283,15 +283,20 @@ _FIELD_SIZE = re.compile(r"0|[1-9][0-9]*")
 _COEFFICIENT = re.compile(r"a|a?[b-z][a-z]*")
 
 
+# the two-digit codes of 0 .. 26^2 - 1, so that one divmod takes two digits
+_DIGIT_PAIRS = tuple(high + low for high in _ALPHABET for low in _ALPHABET)
+
+
 def _encode_coefficient(n: int) -> str:
     if n == 0:
         return "a"
-    digits = []
-    m = abs(n)
-    while m:
-        m, d = divmod(m, 26)
-        digits.append(_ALPHABET[d])
-    body = "".join(reversed(digits))
+    m = -n if n < 0 else n
+    body = ""
+    while m >= 676:
+        m, pair = divmod(m, 676)
+        body = _DIGIT_PAIRS[pair] + body
+    # 0 < m < 676: one digit, or two with a nonzero leading digit
+    body = (_ALPHABET[m] if m < 26 else _DIGIT_PAIRS[m]) + body
     return body if n > 0 else "a" + body
 
 

@@ -9,8 +9,11 @@ empty CSV cell and a JSON null.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
@@ -121,8 +124,49 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def csv_row(record: ClassRecord) -> list[str]:
-    return [_cell(getattr(record, name)) for name in FIELD_NAMES]
+# the cells a record's class decides, on either side of (fplus_disc, c, d)
+_LEAD_FIELDS = FIELD_NAMES[FIELD_NAMES.index("class_kind") : FIELD_NAMES.index("fplus_disc")]
+_REST_FIELDS = FIELD_NAMES[FIELD_NAMES.index("split2_Kplus") :]
+_lead_cells = attrgetter(*_LEAD_FIELDS)
+_rest_cells = attrgetter(*_REST_FIELDS)
+# those cells' values -> their CSV / JSON text, rendered once by the stdlib; the two
+# runs differ in length, so their keys never meet, and there are a few dozen keys
+_CSV_TEXT: dict[tuple, str] = {}
+_JSON_TEXT: dict[tuple, str] = {}
+
+
+def _csv_text(cells: tuple) -> str:
+    text = _CSV_TEXT.get(cells)
+    if text is None:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([_cell(value) for value in cells])
+        text = _CSV_TEXT[cells] = buffer.getvalue()[:-1]
+    return text
+
+
+def _json_text(names: tuple[str, ...], cells: tuple) -> str:
+    text = _JSON_TEXT.get(cells)
+    if text is None:
+        text = _JSON_TEXT[cells] = json.dumps(dict(zip(names, cells)))[1:-1]
+    return text
+
+
+def csv_row(record: ClassRecord) -> str:
+    """The record's CSV line, newline included, as ``csv.writer`` writes its cells.
+
+    The head (q, p, r, a, b, label, fplus_disc, c, d) is integers, None
+    and a label of ASCII letters, digits, dots and an underscore, none of
+    which needs quoting, so it is formatted directly.  The cells the
+    class decides are rendered by ``csv.writer`` once per distinct value
+    tuple, which decides their quoting.  The cache is keyed by value, and
+    1 == True, so the bool columns must hold bool or None only.
+    """
+    c = "" if record.c is None else record.c
+    d = "" if record.d is None else record.d
+    return (
+        f"{record.q},{record.p},{record.r},{record.a},{record.b},{record.label},"
+        f"{_csv_text(_lead_cells(record))},{record.fplus_disc},{c},{d},{_csv_text(_rest_cells(record))}\n"
+    )
 
 
 def to_json_obj(record: ClassRecord) -> dict:
@@ -130,4 +174,15 @@ def to_json_obj(record: ClassRecord) -> dict:
 
 
 def to_json_line(record: ClassRecord) -> str:
-    return json.dumps(to_json_obj(record))
+    """``json.dumps(to_json_obj(record))``, built as :func:`csv_row` builds its line.
+
+    The label's characters need no JSON escape, and the class-decided
+    cells are rendered by ``json.dumps`` once per distinct value tuple.
+    """
+    c = "null" if record.c is None else record.c
+    d = "null" if record.d is None else record.d
+    return (
+        f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": {record.a}, "b": {record.b}, '
+        f'"label": "{record.label}", {_json_text(_LEAD_FIELDS, _lead_cells(record))}, '
+        f'"fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {_json_text(_REST_FIELDS, _rest_cells(record))}}}'
+    )

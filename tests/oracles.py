@@ -242,6 +242,26 @@ def gf2_degree_multiset(q: int, a: int, b: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# label coefficient codes, from the powers of 26 down
+
+
+def base26_code(n: int) -> str:
+    """enc(n) of the label scheme: base 26 with digits a..z, a leading 'a' marking n < 0."""
+    if n == 0:
+        return "a"
+    m = abs(n)
+    power = 1
+    while power * 26 <= m:
+        power *= 26
+    code = ""
+    while power:
+        code += chr(ord("a") + m // power)
+        m %= power
+        power //= 26
+    return code if n > 0 else "a" + code
+
+
+# ---------------------------------------------------------------------------
 # division-only squarefree decomposition
 
 

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from weillab import records
 from weillab.cli import main, main_entry, prime_powers_in_range
 from weillab.core import InternalInvariantError
 from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, to_json_obj
@@ -249,23 +250,35 @@ def test_enumerate_refuses_an_unwritable_output_before_any_work(tmp_path, capsys
 
 def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
     # 310 and 2,136 records: a run that held every record would peak about 4x higher on the wider range
-    target = str(tmp_path / "classes.csv")
-
-    def traced_peak(q_max):
+    def traced_peak(fmt, q_max):
         tracemalloc.start()
         try:
-            code = main(["enumerate", "--q-min", "20000", "--q-max", str(q_max), "--format", "csv", "--output", target])
+            code = main(["enumerate", "--q-min", "20000", "--q-max", str(q_max), "--format", fmt, "--output", target])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
         return peak
 
-    # fill the factorisation caches first, so that neither traced run pays for them
-    assert main(["enumerate", "--q-min", "20000", "--q-max", "20500", "--format", "csv", "--output", target]) == 0
-    narrow, wide = traced_peak(20100), traced_peak(20500)
+    for fmt in ("csv", "json"):
+        target = str(tmp_path / f"classes.{fmt}")
+        # fill the factorisation caches first, so that neither traced run pays for them
+        assert main(["enumerate", "--q-min", "20000", "--q-max", "20500", "--format", fmt, "--output", target]) == 0
+        narrow, wide = traced_peak(fmt, 20100), traced_peak(fmt, 20500)
+        capsys.readouterr()
+        assert wide < 2 * narrow, fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkeypatch, fmt):
+    # the class-decided text of 26,370 records, cached per distinct run of cell values
+    caches = {"csv": {}, "json": {}}
+    monkeypatch.setattr(records, "_CSV_TEXT", caches["csv"])
+    monkeypatch.setattr(records, "_JSON_TEXT", caches["json"])
+    target = str(tmp_path / f"classes.{fmt}")
+    assert main(["enumerate", "--q-min", "2", "--q-max", "10000", "--format", fmt, "--output", target]) == 0
     capsys.readouterr()
-    assert wide < 2 * narrow
+    assert 0 < len(caches[fmt]) <= 36
 
 
 @pytest.mark.parametrize("only_no_genus3", [False, True])

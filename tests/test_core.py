@@ -19,9 +19,10 @@ from weillab import (
     render_label,
     squarefree_part,
 )
-from weillab.core import ceil_sqrt, factorize, label_coefficients, prime_power_decomposition, weil_validity_failure
+from weillab.core import _encode_coefficient, ceil_sqrt, factorize, label_coefficients, prime_power_decomposition, weil_validity_failure
 
 from oracles import (
+    base26_code,
     companion_base_change,
     gf2_factor_names,
     has_weil_root_moduli,
@@ -239,6 +240,17 @@ def test_label_round_trip_multi_digit():
     f = make_weil_quartic(997, 30, -50)
     assert str(render_label(f)) == "2.997.be_aby"
     assert parse_label(str(render_label(f))) == f
+
+
+# the last and first value of each code length, where a digit carries
+DIGIT_BOUNDARIES = [sign * n for n in (25, 26, 675, 676, 677, 17575, 17576, 456975, 456976) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("n", DIGIT_BOUNDARIES)
+def test_encode_coefficient_at_digit_boundaries(n):
+    code = _encode_coefficient(n)
+    assert code == base26_code(n)
+    assert label_coefficients(f"2.5.a_{code}") == (5, 0, n)
 
 
 @pytest.mark.parametrize(
