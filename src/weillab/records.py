@@ -17,7 +17,8 @@ from operator import attrgetter
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
-from .verdict import Genus3Verdict, curve_shape_constraints, genus3_verdict
+from .two_adic import TwoAdicData, two_adic_data
+from .verdict import curve_shape_constraints, genus3_verdict
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,10 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
 
     A record is a head (q, p, r, a, b, label and the discriminant of f+
     as c^2 * d, from its one squarefree decomposition) and cells the
-    class decides.  For every family member :func:`genus3_verdict`
-    decides the verdict, and for family A and B it carries the 2-adic
-    data (splitting, shape and ramification) that the record reads.  A
-    member's cells depend only on its kind, that splitting, whether p = 2
+    class decides.  Per family A or B record only the head and
+    :func:`two_adic_data`, which checks the member and splits 2 in K+,
+    are computed.  The cells (2-adic data, :func:`genus3_verdict`, p-rank,
+    curve shape) depend only on the kind, that splitting, whether p = 2
     and whether a = 0, so they are derived once per such key.  The
     irreducible column is read from ``kind``, which classify settled:
     family members are irreducible, the two specials are not, and only
@@ -75,19 +76,18 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
         lead = (kind.family.value, None, None, is_irreducible_over_Q(f))
         rest = (None,) * 7 + (f"reason={kind.reason}",)  # no 2-adic data and no verdict
     else:
-        verdict = genus3_verdict(f, kind)
-        split2 = None if verdict.two_adic is None else verdict.two_adic.split2_Kplus
-        key = (kind, split2, f.p == 2, f.a == 0)
+        data = two_adic_data(f, kind) if kind.is_irreducible_family else None
+        key = (kind, None if data is None else data.split2_Kplus, f.p == 2, f.a == 0)
         cells = _MEMBER_CELLS.get(key)
         if cells is None:
-            cells = _MEMBER_CELLS[key] = _member_cells(f, kind, verdict)
+            cells = _MEMBER_CELLS[key] = _member_cells(f, kind, data)
         lead, rest = cells
     return ClassRecord(f.q, f.p, f.r, f.a, f.b, render_label(f), *lead, delta, c, d, *rest)
 
 
-def _member_cells(f: WeilQuartic, kind: ClassKind, verdict: Genus3Verdict) -> tuple[tuple, tuple]:
+def _member_cells(f: WeilQuartic, kind: ClassKind, data: TwoAdicData | None) -> tuple[tuple, tuple]:
     # the cells of a family member's record before and after (fplus_disc, c, d)
-    data = verdict.two_adic
+    verdict = genus3_verdict(f, kind)
     notes = [f"witness={verdict.witness}"] if verdict.witness else []
     if verdict.note:
         notes.append(verdict.note)

@@ -82,13 +82,18 @@ class TwoAdicData:
     shape2_K: Shape2
 
 
-def _split2_from_delta(delta: int) -> Split2:
-    """The splitting of 2 in Q(sqrt(delta)) for a positive non-square delta."""
+def _delta_split2(f: WeilQuartic) -> tuple[int, Split2]:
+    """delta = disc(f+) and the splitting of 2 in K+; raises DegenerateDiscriminant unless delta > 0 is not a square."""
+    delta = fplus_discriminant(f)
+    if delta <= 0:
+        raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
+    if is_square(delta):
+        raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
     e = (delta & -delta).bit_length() - 1
     m = delta >> e
     if e % 2 or m % 4 == 3:
-        return Split2.RAMIFIED
-    return Split2.SPLIT if m % 8 == 1 else Split2.INERT
+        return delta, Split2.RAMIFIED
+    return delta, Split2.SPLIT if m % 8 == 1 else Split2.INERT
 
 
 _SINGLE = ConjugationTag.SINGLE_SELF_CONJUGATE
@@ -129,12 +134,7 @@ def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     Raises DegenerateDiscriminant unless delta is positive and not a square.
     """
     _require_family(kind, "two_adic_data", _IRREDUCIBLE_FAMILIES)
-    delta = fplus_discriminant(f)
-    if delta <= 0:
-        raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
-    if is_square(delta):
-        raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
-    split2 = _split2_from_delta(delta)
+    delta, split2 = _delta_split2(f)
     return TwoAdicData(
         delta=delta,
         split2_Kplus=split2,

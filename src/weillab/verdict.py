@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .classify import ClassKind, Family, _MEMBER_FAMILIES, _require_family
 from .core import WeilQuartic
-from .two_adic import TwoAdicData, _class_row, two_adic_data
+from .two_adic import _class_row, _delta_split2
 
 SPECIAL_Q3_WITNESS = "y^4+xz^3+2x^3z"
 _SPECIAL_NOTE = "degree-4 polarisation criterion not applied; class settled by direct genus-3 search"
@@ -38,9 +38,8 @@ class Genus3Verdict:
 
     ``deg4_polarisation_exists`` is None for the two special classes,
     which are settled without the polarisation criterion.  For family A
-    and B the two booleans coincide, and ``two_adic`` holds the 2-adic
-    data the verdict was read from (its splitting of 2 in K+, fixed by
-    d mod 8, decides the family A rule); it is None for the two specials.
+    and B the two booleans coincide.  A verdict is one value per class
+    key, so every member sharing a key gets an equal verdict.
     """
 
     deg4_polarisation_exists: bool | None
@@ -48,7 +47,6 @@ class Genus3Verdict:
     rule: str
     witness: str | None = None
     note: str | None = None
-    two_adic: TwoAdicData | None = None
 
 
 _VERDICT_SPECIAL = {
@@ -58,18 +56,16 @@ _VERDICT_SPECIAL = {
 
 
 def genus3_verdict(f: WeilQuartic, kind: ClassKind) -> Genus3Verdict:
-    """Class-level genus-3 verdict with rule provenance and 2-adic data."""
+    """Class-level genus-3 verdict and its rule, one value per class key.
+
+    Read from the key's ``_CLASS_ROWS`` row; raises as :func:`two_adic_data`
+    does for a member it does not cover, but builds no ``TwoAdicData``.
+    """
     _require_family(kind, "genus3_verdict", _MEMBER_FAMILIES)
     if not kind.is_irreducible_family:
         return _VERDICT_SPECIAL[kind.family]
-    data = two_adic_data(f, kind)
-    _, exists, rule = _class_row(kind, f.q, data.split2_Kplus)
-    return Genus3Verdict(
-        deg4_polarisation_exists=exists,
-        genus3_curve_exists=exists,
-        rule=rule,
-        two_adic=data,
-    )
+    _, exists, rule = _class_row(kind, f.q, _delta_split2(f)[1])
+    return Genus3Verdict(exists, exists, rule)
 
 
 def curve_shape_constraints(f: WeilQuartic, kind: ClassKind) -> str:

@@ -271,14 +271,18 @@ def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkeypatch, fmt):
-    # the class-decided text of 26,370 records, cached per distinct run of cell values
+    # the class-decided text of 26,370 records, cached per distinct run of cell values, and
+    # their cells, cached per class key (kind, splitting of 2 in K+ from two_adic_data, p = 2, a = 0)
     caches = {"csv": {}, "json": {}}
+    member_cells: dict = {}
     monkeypatch.setattr(records, "_CSV_TEXT", caches["csv"])
     monkeypatch.setattr(records, "_JSON_TEXT", caches["json"])
+    monkeypatch.setattr(records, "_MEMBER_CELLS", member_cells)
     target = str(tmp_path / f"classes.{fmt}")
     assert main(["enumerate", "--q-min", "2", "--q-max", "10000", "--format", fmt, "--output", target]) == 0
     capsys.readouterr()
     assert 0 < len(caches[fmt]) <= 36
+    assert len(member_cells) == 14
 
 
 @pytest.mark.parametrize("only_no_genus3", [False, True])

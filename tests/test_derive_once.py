@@ -3,7 +3,9 @@
 The record's fields must equal what the single-function public calls
 give on their own, and one record of a family A or B member must make
 exactly one squarefree decomposition and at most one irreducibility
-test.  The 2-adic data is worked out once, inside the genus-3 verdict.
+test.  Per family A or B record only the head and the 2-adic data are
+worked out; the genus-3 verdict and the other cells a class decides are
+worked out once per class key.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 from weillab import (
     Split2,
     build_record,
+    curve_shape_constraints,
     fplus_discriminant,
     genus3_verdict,
     is_irreducible_over_Q,
@@ -23,6 +26,7 @@ from weillab import (
     squarefree_part,
     two_adic_data,
 )
+from weillab import records
 from weillab.classify import Family, classify
 
 from strategies import family_members, kind_of
@@ -116,6 +120,17 @@ def test_one_two_adic_data_call_per_family_record(monkeypatch, q, a, b, calls):
     assert counts["two_adic_data"] == calls
 
 
+def test_verdict_and_cells_derived_once_per_class_key(monkeypatch):
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
+    counts = _count_calls(monkeypatch, genus3_verdict, curve_shape_constraints, two_adic_data)
+    built = [build_record(f, kind) for f, kind in family_members(64)]
+    keys = len(records._MEMBER_CELLS)
+    assert keys == 14
+    assert counts["genus3_verdict"] == counts["curve_shape_constraints"] == keys
+    family_records = sum(record.class_kind in ("PirrA", "PirrB") for record in built)
+    assert counts["two_adic_data"] == family_records == 102
+
+
 # family A members at q = 1 mod 8 with a = 2 mod 4, where v2(delta) is unbounded; with
 # delta = 2^e * m, m odd: e = 8 split, 10 inert, 12 split and inert, 13 and 16 ramified
 HIGH_V2_MEMBERS = [
@@ -129,21 +144,25 @@ HIGH_V2_MEMBERS = [
 _SPLIT_BY_D_MOD_8 = {1: Split2.SPLIT, 5: Split2.INERT}
 
 
-def test_verdict_carries_the_two_adic_data_it_was_read_from():
+def test_verdict_is_one_value_per_two_adic_class_key():
     high_v2 = [kind_of(q, a, b) for q, a, b in HIGH_V2_MEMBERS]
     assert all(kind.family is Family.PIRR_A for _, kind in high_v2)
     inert_rules = 0
+    verdicts: dict[tuple, set] = {}
     for f, kind in [*family_members(512), *high_v2]:
-        verdict = genus3_verdict(f, kind)
         if not kind.is_irreducible_family:
-            assert verdict.two_adic is None
             continue
-        assert verdict.two_adic == two_adic_data(f, kind)
+        verdict = genus3_verdict(f, kind)
+        data = two_adic_data(f, kind)
         # the field-level criterion of the two_adic module: d mod 8 of delta = c^2 * d
-        d = squarefree_part(verdict.two_adic.delta)[1]
-        assert verdict.two_adic.split2_Kplus is _SPLIT_BY_D_MOD_8.get(d % 8, Split2.RAMIFIED), (f.q, f.a, f.b)
+        d = squarefree_part(data.delta)[1]
+        assert data.split2_Kplus is _SPLIT_BY_D_MOD_8.get(d % 8, Split2.RAMIFIED), (f.q, f.a, f.b)
         if kind.family is Family.PIRR_A:
             inert = d % 8 == 5
             assert (verdict.rule == "PirrA-inert") == inert, (f.q, f.a, f.b)
             inert_rules += inert
+        # the class key: the splitting of 2 in K+ for family A, q mod 2 for a family B pattern
+        key = (kind, data.split2_Kplus if kind.family is Family.PIRR_A else f.q % 2)
+        verdicts.setdefault(key, set()).add(verdict)
     assert inert_rules > 0
+    assert all(len(equal) == 1 for equal in verdicts.values()), verdicts
