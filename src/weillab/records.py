@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
-from .two_adic import TwoAdicData, two_adic_data
+from .two_adic import _delta_split2, two_adic_data
 from .verdict import curve_shape_constraints, genus3_verdict
 
 
@@ -57,47 +57,48 @@ _MEMBER_CELLS: dict[tuple, tuple[tuple, tuple]] = {}
 def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     """Full record for one class; kind is classified when not supplied.
 
-    A record is a head (q, p, r, a, b, label and the discriminant of f+
-    as c^2 * d, from its one squarefree decomposition) and cells the
-    class decides.  Per family A or B record only the head and
-    :func:`two_adic_data`, which checks the member and splits 2 in K+,
-    are computed.  The cells (2-adic data, :func:`genus3_verdict`, p-rank,
-    curve shape) depend only on the kind, that splitting, whether p = 2
-    and whether a = 0, so they are derived once per such key.  The
-    irreducible column is read from ``kind``, which classify settled:
-    family members are irreducible, the two specials are not, and only
-    an Outside class is tested here.
+    Per record only the head is computed: q, p, r, a, b, label and the
+    discriminant delta of f+ as c^2 * d, from its one squarefree
+    decomposition.  For a family A or B member, the 2-adic class of
+    delta checks the member and splits 2 in K+.  The other cells (2-adic
+    data, :func:`genus3_verdict`, p-rank, curve shape) depend only on the
+    kind, that splitting, whether p = 2 and whether a = 0, so they are
+    derived once per such key.  The irreducible column is read from
+    ``kind``: only an Outside class is tested here.
     """
     if kind is None:
         kind = classify(f)
-    delta = fplus_discriminant(f)
+    if kind.is_irreducible_family:
+        delta, split2 = _delta_split2(f)
+    else:
+        delta, split2 = fplus_discriminant(f), None
     c, d = squarefree_part(delta) if delta != 0 else (None, None)
     if kind.family is Family.OUTSIDE:
         lead = (kind.family.value, None, None, is_irreducible_over_Q(f))
         rest = (None,) * 7 + (f"reason={kind.reason}",)  # no 2-adic data and no verdict
     else:
-        data = two_adic_data(f, kind) if kind.is_irreducible_family else None
-        key = (kind, None if data is None else data.split2_Kplus, f.p == 2, f.a == 0)
+        key = (kind, split2, f.p == 2, f.a == 0)
         cells = _MEMBER_CELLS.get(key)
         if cells is None:
-            cells = _MEMBER_CELLS[key] = _member_cells(f, kind, data)
+            cells = _MEMBER_CELLS[key] = _member_cells(f, kind)
         lead, rest = cells
     return ClassRecord(f.q, f.p, f.r, f.a, f.b, render_label(f), *lead, delta, c, d, *rest)
 
 
-def _member_cells(f: WeilQuartic, kind: ClassKind, data: TwoAdicData | None) -> tuple[tuple, tuple]:
+def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
     # the cells of a family member's record before and after (fplus_disc, c, d)
     verdict = genus3_verdict(f, kind)
     notes = [f"witness={verdict.witness}"] if verdict.witness else []
     if verdict.note:
         notes.append(verdict.note)
-    if data is None:
-        lead = (kind.family.value, None, None, kind.is_irreducible_family)
-        two_adic = (None, None, None)
-    else:
+    if kind.is_irreducible_family:
+        data = two_adic_data(f, kind)
         ordinary = p_rank_class(f, kind) is PRankClass.ORDINARY
-        lead = (kind.family.value, kind.b_case, ordinary, kind.is_irreducible_family)
+        lead = (kind.family.value, kind.b_case, ordinary, True)
         two_adic = (data.split2_Kplus.value, data.K_over_Kplus_ramified, str(data.shape2_K))
+    else:
+        lead = (kind.family.value, None, None, False)
+        two_adic = (None, None, None)
     rest = (
         *two_adic,
         verdict.deg4_polarisation_exists,
@@ -169,12 +170,8 @@ def csv_row(record: ClassRecord) -> str:
     )
 
 
-def to_json_obj(record: ClassRecord) -> dict:
-    return {name: getattr(record, name) for name in FIELD_NAMES}
-
-
 def to_json_line(record: ClassRecord) -> str:
-    """``json.dumps(to_json_obj(record))``, built as :func:`csv_row` builds its line.
+    """``json.dumps(dataclasses.asdict(record))``, built as :func:`csv_row` builds its line.
 
     The label's characters need no JSON escape, and the class-decided
     cells are rendered by ``json.dumps`` once per distinct value tuple.

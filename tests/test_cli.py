@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from weillab import records
 from weillab.cli import main, main_entry, prime_powers_in_range
 from weillab.core import InternalInvariantError
-from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, to_json_obj
+from weillab.records import FIELD_NAMES, ClassRecord, records_for_q
 
 
 def run_cli(capsys, *argv):
@@ -86,7 +87,7 @@ def test_enumerate_json_round_trips(capsys):
     for line in out.splitlines():
         obj = json.loads(line)
         record = ClassRecord(**obj)
-        assert to_json_obj(record) == obj
+        assert dataclasses.asdict(record) == obj
 
 
 def test_enumerate_filter_no_genus3(capsys):
@@ -272,7 +273,8 @@ def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkeypatch, fmt):
     # the class-decided text of 26,370 records, cached per distinct run of cell values, and
-    # their cells, cached per class key (kind, splitting of 2 in K+ from two_adic_data, p = 2, a = 0)
+    # their cells, cached per class key (kind, splitting of 2 in K+ read from the 2-adic class
+    # of delta, p = 2, a = 0)
     caches = {"csv": {}, "json": {}}
     member_cells: dict = {}
     monkeypatch.setattr(records, "_CSV_TEXT", caches["csv"])

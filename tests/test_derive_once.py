@@ -3,9 +3,10 @@
 The record's fields must equal what the single-function public calls
 give on their own, and one record of a family A or B member must make
 exactly one squarefree decomposition and at most one irreducibility
-test.  Per family A or B record only the head and the 2-adic data are
-worked out; the genus-3 verdict and the other cells a class decides are
-worked out once per class key.
+test.  Per record only the head is worked out, with the 2-adic class of
+the discriminant for a family A or B member; the 2-adic data, the
+genus-3 verdict and the other cells a class decides are worked out once
+per class key, and the per-record checks still run on a warm key.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from collections import Counter
 import pytest
 
 from weillab import (
+    ClassKind,
+    DegenerateDiscriminant,
     Split2,
     build_record,
     curve_shape_constraints,
@@ -113,22 +116,36 @@ def test_outside_record_tests_irreducibility_once(monkeypatch):
     ],
 )
 def test_one_two_adic_data_call_per_family_record(monkeypatch, q, a, b, calls):
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
     f = make_weil_quartic(q, a, b)
     kind = classify(f)
     counts = _count_calls(monkeypatch, two_adic_data)
-    build_record(f, kind)
+    first = build_record(f, kind)
+    assert build_record(f, kind) == first  # the second build meets a warm key
     assert counts["two_adic_data"] == calls
 
 
 def test_verdict_and_cells_derived_once_per_class_key(monkeypatch):
     monkeypatch.setattr(records, "_MEMBER_CELLS", {})
     counts = _count_calls(monkeypatch, genus3_verdict, curve_shape_constraints, two_adic_data)
-    built = [build_record(f, kind) for f, kind in family_members(64)]
+    for f, kind in family_members(64):
+        build_record(f, kind)
     keys = len(records._MEMBER_CELLS)
     assert keys == 14
     assert counts["genus3_verdict"] == counts["curve_shape_constraints"] == keys
-    family_records = sum(record.class_kind in ("PirrA", "PirrB") for record in built)
-    assert counts["two_adic_data"] == family_records == 102
+    family_keys = sum(kind.is_irreducible_family for kind, *_ in records._MEMBER_CELLS)
+    assert counts["two_adic_data"] == family_keys == 12
+
+
+def test_member_checks_run_on_a_warm_class_key(monkeypatch):
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
+    warm = build_record(make_weil_quartic(19, 0, -19))
+    assert (warm.class_kind, warm.split2_Kplus, warm.p % 2, warm.a) == ("PirrA", "Split", 1, 0)
+    # delta = 36 is 4 * 9, which the 2-adic class reads as Split: the same key as above
+    square = make_weil_quartic(3, 0, -3)
+    assert fplus_discriminant(square) == 36
+    with pytest.raises(DegenerateDiscriminant):
+        build_record(square, ClassKind(Family.PIRR_A))
 
 
 # family A members at q = 1 mod 8 with a = 2 mod 4, where v2(delta) is unbounded; with

@@ -11,6 +11,7 @@ text caches as often as Outside classes do.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weillab import build_record, make_weil_quartic
-from weillab.records import FIELD_NAMES, _cell, csv_row, to_json_line, to_json_obj
+from weillab.records import FIELD_NAMES, _cell, csv_row, to_json_line
 
 from strategies import Q_BELOW_10_6, family_pattern_pairs, weil_pairs
 
@@ -40,4 +41,4 @@ def stdlib_csv_line(record) -> str:
 def test_serialisers_match_the_stdlib(qab):
     record = build_record(make_weil_quartic(*qab))
     assert csv_row(record) == stdlib_csv_line(record)
-    assert to_json_line(record) == json.dumps(to_json_obj(record))
+    assert to_json_line(record) == json.dumps(dataclasses.asdict(record))
