@@ -20,8 +20,8 @@ the raw value kept for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple
 
 from .core import ceil_sqrt, floor_2sqrt, is_square, require_prime_power
 
@@ -34,8 +34,7 @@ class BoundFamily(Enum):
     SERRE_WEIL = "SerreWeil"
 
 
-@dataclass(frozen=True)
-class PointBounds:
+class PointBounds(NamedTuple):
     """Closed integer interval [lo, hi] = [max(0, center - radius), center + radius]."""
 
     lo: int

@@ -24,10 +24,10 @@ reason.  The family B list, specials included, is ``_family_b_patterns``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .core import (
     InternalInvariantError,
@@ -68,8 +68,7 @@ _MEMBER_FAMILIES = (*_IRREDUCIBLE_FAMILIES, Family.SPECIAL_Q2, Family.SPECIAL_Q3
 _SPECIALS = {2: Family.SPECIAL_Q2, 3: Family.SPECIAL_Q3}
 
 
-@dataclass(frozen=True)
-class ClassKind:
+class ClassKind(NamedTuple):
     """Verdict of the family classification.
 
     ``b_case`` is the matched family B pattern, set for family B members
@@ -84,6 +83,14 @@ class ClassKind:
     @property
     def is_irreducible_family(self) -> bool:
         return self.family in _IRREDUCIBLE_FAMILIES
+
+
+# matched family B pattern -> the kind of an irreducible member, None meaning family A;
+# one shared value per kind, so enumerate_classes builds no kind per member
+_IRREDUCIBLE_KINDS = {
+    None: ClassKind(Family.PIRR_A),
+    **{case: ClassKind(Family.PIRR_B, case) for case in (B_CASE_1_MINUS_2Q, B_CASE_2_MINUS_2Q, B_CASE_MINUS_Q)},
+}
 
 
 @unique
@@ -153,7 +160,7 @@ def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKi
     if in_a == (b_case is not None):
         raise InternalInvariantError(f"{'both' if in_a else 'neither of'} conditions (a) and (b) match {f}")
     if is_irreducible_over_Q(f):
-        return ClassKind(Family.PIRR_A if in_a else Family.PIRR_B, b_case=b_case)
+        return _IRREDUCIBLE_KINDS[b_case]
     if f.q in _SPECIALS and f.b == -2 * f.q:
         return ClassKind(_SPECIALS[f.q], b_case=b_case)
     raise InternalInvariantError(f"reducible family member {f} is not one of the two specials")

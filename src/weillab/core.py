@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 
 class NotPrimePower(ValueError):
@@ -206,8 +206,7 @@ def squarefree_part(n: int) -> tuple[int, int]:
 # the Weil quartic record
 
 
-@dataclass(frozen=True)
-class WeilQuartic:
+class WeilQuartic(NamedTuple):
     """t^4 + a*t^3 + b*t^2 + a*q*t + q^2 over the field with q = p^r elements.
 
     Construct through :func:`make_weil_quartic`, which validates the input.

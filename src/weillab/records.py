@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
@@ -21,8 +20,7 @@ from .two_adic import _delta_split2, two_adic_data
 from .verdict import curve_shape_constraints, genus3_verdict
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     q: int
     p: int
     r: int
@@ -46,7 +44,7 @@ class ClassRecord:
     notes: str | None
 
 
-FIELD_NAMES = tuple(f.name for f in fields(ClassRecord))
+FIELD_NAMES = ClassRecord._fields
 
 
 # (kind, splitting of 2 in K+, p == 2, a == 0) of a family member -> its record cells
@@ -126,10 +124,10 @@ def _cell(value: object) -> str:
 
 
 # the cells a record's class decides, on either side of (fplus_disc, c, d)
-_LEAD_FIELDS = FIELD_NAMES[FIELD_NAMES.index("class_kind") : FIELD_NAMES.index("fplus_disc")]
-_REST_FIELDS = FIELD_NAMES[FIELD_NAMES.index("split2_Kplus") :]
-_lead_cells = attrgetter(*_LEAD_FIELDS)
-_rest_cells = attrgetter(*_REST_FIELDS)
+_LEAD = slice(FIELD_NAMES.index("class_kind"), FIELD_NAMES.index("fplus_disc"))
+_REST = slice(FIELD_NAMES.index("split2_Kplus"), None)
+_LEAD_FIELDS = FIELD_NAMES[_LEAD]
+_REST_FIELDS = FIELD_NAMES[_REST]
 # those cells' values -> their CSV / JSON text, rendered once by the stdlib; the two
 # runs differ in length, so their keys never meet, and there are a few dozen keys
 _CSV_TEXT: dict[tuple, str] = {}
@@ -166,12 +164,12 @@ def csv_row(record: ClassRecord) -> str:
     d = "" if record.d is None else record.d
     return (
         f"{record.q},{record.p},{record.r},{record.a},{record.b},{record.label},"
-        f"{_csv_text(_lead_cells(record))},{record.fplus_disc},{c},{d},{_csv_text(_rest_cells(record))}\n"
+        f"{_csv_text(record[_LEAD])},{record.fplus_disc},{c},{d},{_csv_text(record[_REST])}\n"
     )
 
 
 def to_json_line(record: ClassRecord) -> str:
-    """``json.dumps(dataclasses.asdict(record))``, built as :func:`csv_row` builds its line.
+    """``json.dumps(record._asdict())``, built as :func:`csv_row` builds its line.
 
     The label's characters need no JSON escape, and the class-decided
     cells are rendered by ``json.dumps`` once per distinct value tuple.
@@ -180,6 +178,6 @@ def to_json_line(record: ClassRecord) -> str:
     d = "null" if record.d is None else record.d
     return (
         f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": {record.a}, "b": {record.b}, '
-        f'"label": "{record.label}", {_json_text(_LEAD_FIELDS, _lead_cells(record))}, '
-        f'"fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {_json_text(_REST_FIELDS, _rest_cells(record))}}}'
+        f'"label": "{record.label}", {_json_text(_LEAD_FIELDS, record[_LEAD])}, '
+        f'"fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {_json_text(_REST_FIELDS, record[_REST])}}}'
     )

@@ -24,8 +24,8 @@ of 2 in K, the degree-4 polarisation verdict and its rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple
 
 from .classify import (
     B_CASE_1_MINUS_2Q,
@@ -58,8 +58,7 @@ class ConjugationTag(Enum):
     SINGLE_SELF_CONJUGATE = "self-conjugate"
 
 
-@dataclass(frozen=True)
-class Shape2:
+class Shape2(NamedTuple):
     """Factorisation shape of 2 in K.
 
     ``factors`` lists (ramification index e, residue degree f, number of
@@ -74,8 +73,7 @@ class Shape2:
         return f"{body};{self.conjugation.value}"
 
 
-@dataclass(frozen=True)
-class TwoAdicData:
+class TwoAdicData(NamedTuple):
     delta: int
     split2_Kplus: Split2
     K_over_Kplus_ramified: bool

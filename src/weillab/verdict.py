@@ -22,7 +22,7 @@ isogeny class, not a property of every member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import ClassKind, Family, _MEMBER_FAMILIES, _require_family
 from .core import WeilQuartic
@@ -32,8 +32,7 @@ SPECIAL_Q3_WITNESS = "y^4+xz^3+2x^3z"
 _SPECIAL_NOTE = "degree-4 polarisation criterion not applied; class settled by direct genus-3 search"
 
 
-@dataclass(frozen=True)
-class Genus3Verdict:
+class Genus3Verdict(NamedTuple):
     """Existence verdict for degree-4 polarisations and genus-3 curves.
 
     ``deg4_polarisation_exists`` is None for the two special classes,

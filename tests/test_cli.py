@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -87,7 +86,7 @@ def test_enumerate_json_round_trips(capsys):
     for line in out.splitlines():
         obj = json.loads(line)
         record = ClassRecord(**obj)
-        assert dataclasses.asdict(record) == obj
+        assert record._asdict() == obj
 
 
 def test_enumerate_filter_no_genus3(capsys):

@@ -11,7 +11,6 @@ text caches as often as Outside classes do.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -41,4 +40,4 @@ def stdlib_csv_line(record) -> str:
 def test_serialisers_match_the_stdlib(qab):
     record = build_record(make_weil_quartic(*qab))
     assert csv_row(record) == stdlib_csv_line(record)
-    assert to_json_line(record) == json.dumps(dataclasses.asdict(record))
+    assert to_json_line(record) == json.dumps(record._asdict())
