@@ -120,7 +120,7 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
             raise ValueError("coefficient form needs all of --q, --a and --b")
         q, a, b = args.q, args.a, args.b
     record = build_record(_bounded_quartic(q, a, b))
-    out.write(to_json_line(record) + "\n")
+    out.write(to_json_line(record))
     return 0
 
 
@@ -218,17 +218,17 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     with _open_output(args.output) if args.output else nullcontext(out) as sink:
         if args.format == "csv":
             sink.write(",".join(FIELD_NAMES) + "\n")
+        # looked up per run, so a writer rebound after import is the one called
+        line = csv_row if args.format == "csv" else to_json_line
         # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
         for q in prime_powers_in_range(q_min, q_max):
             records = records_for_q(q)
             if args.only_no_genus3:
                 records = [record for record in records if record.genus3_exists is False]
-            if args.format == "csv":
-                sink.writelines(csv_row(record) for record in records)
-            elif args.format == "json":
-                sink.writelines(to_json_line(record) + "\n" for record in records)
-            else:
+            if args.format == "table":
                 table.extend(records)
+            else:
+                sink.writelines(map(line, records))
             kinds.update(record.class_kind for record in records)
             genus3.update(record.genus3_exists for record in records)
         if args.format == "table":

@@ -299,11 +299,13 @@ def _encode_coefficient(n: int) -> str:
     return body if n > 0 else "a" + body
 
 
+# letter digits a .. z -> the digits 0 .. 9, a .. p that int(text, 26) reads
+_TO_INT_DIGITS = str.maketrans(_ALPHABET, "0123456789abcdefghijklmnop")
+
+
 def _decode_coefficient(code: str) -> int:
     # code matched _COEFFICIENT, so a leading 'a' marks a negative; as digit 0 it adds nothing
-    value = 0
-    for ch in code:
-        value = value * 26 + _ALPHABET.index(ch)
+    value = int(code.translate(_TO_INT_DIGITS), 26)
     return -value if code[0] == "a" else value
 
 
@@ -325,15 +327,13 @@ def label_coefficients(text: str) -> tuple[int, int, int]:
     q_text, *codes = match.groups()
     if _FIELD_SIZE.fullmatch(q_text) is None:
         raise MalformedLabel(f"label {text!r} has a field size that is not ASCII decimal without a leading zero")
-    try:
-        q = int(q_text)
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise MalformedLabel(f"label {text!r} has a field size too long to convert") from None
     for code in codes:
         if _COEFFICIENT.fullmatch(code) is None:
             raise MalformedLabel(f"coefficient code {code!r} is not lower-case base 26 without a leading zero digit")
-    a, b = (_decode_coefficient(code) for code in codes)
-    return q, a, b
+    try:
+        return int(q_text), *(_decode_coefficient(code) for code in codes)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise MalformedLabel(f"label {text!r} has a field size or coefficient code too long to convert") from None
 
 
 def parse_label(text: str) -> WeilQuartic:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import cache
 from typing import NamedTuple
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
@@ -128,26 +129,14 @@ _LEAD = slice(FIELD_NAMES.index("class_kind"), FIELD_NAMES.index("fplus_disc"))
 _REST = slice(FIELD_NAMES.index("split2_Kplus"), None)
 _LEAD_FIELDS = FIELD_NAMES[_LEAD]
 _REST_FIELDS = FIELD_NAMES[_REST]
-# those cells' values -> their CSV / JSON text, rendered once by the stdlib; the two
-# runs differ in length, so their keys never meet, and there are a few dozen keys
-_CSV_TEXT: dict[tuple, str] = {}
-_JSON_TEXT: dict[tuple, str] = {}
 
 
-def _csv_text(cells: tuple) -> str:
-    text = _CSV_TEXT.get(cells)
-    if text is None:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow([_cell(value) for value in cells])
-        text = _CSV_TEXT[cells] = buffer.getvalue()[:-1]
-    return text
-
-
-def _json_text(names: tuple[str, ...], cells: tuple) -> str:
-    text = _JSON_TEXT.get(cells)
-    if text is None:
-        text = _JSON_TEXT[cells] = json.dumps(dict(zip(names, cells)))[1:-1]
-    return text
+@cache
+def _class_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
+    # the CSV and JSON text of the cells named names, rendered by the stdlib once per key
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([_cell(value) for value in cells])
+    return buffer.getvalue()[:-1], json.dumps(dict(zip(names, cells)))[1:-1]
 
 
 def csv_row(record: ClassRecord) -> str:
@@ -162,22 +151,25 @@ def csv_row(record: ClassRecord) -> str:
     """
     c = "" if record.c is None else record.c
     d = "" if record.d is None else record.d
+    lead = _class_text(_LEAD_FIELDS, record[_LEAD])[0]
+    rest = _class_text(_REST_FIELDS, record[_REST])[0]
     return (
         f"{record.q},{record.p},{record.r},{record.a},{record.b},{record.label},"
-        f"{_csv_text(record[_LEAD])},{record.fplus_disc},{c},{d},{_csv_text(record[_REST])}\n"
+        f"{lead},{record.fplus_disc},{c},{d},{rest}\n"
     )
 
 
 def to_json_line(record: ClassRecord) -> str:
-    """``json.dumps(record._asdict())``, built as :func:`csv_row` builds its line.
+    """``json.dumps(record._asdict())`` and a newline, built as :func:`csv_row` builds its line.
 
     The label's characters need no JSON escape, and the class-decided
     cells are rendered by ``json.dumps`` once per distinct value tuple.
     """
     c = "null" if record.c is None else record.c
     d = "null" if record.d is None else record.d
+    lead = _class_text(_LEAD_FIELDS, record[_LEAD])[1]
+    rest = _class_text(_REST_FIELDS, record[_REST])[1]
     return (
         f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": {record.a}, "b": {record.b}, '
-        f'"label": "{record.label}", {_json_text(_LEAD_FIELDS, record[_LEAD])}, '
-        f'"fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {_json_text(_REST_FIELDS, record[_REST])}}}'
+        f'"label": "{record.label}", {lead}, "fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {rest}}}\n'
     )

@@ -1,7 +1,8 @@
 """Inputs shared by the tests.
 
-The member sweep over every q up to a limit, a class with its kind, and
-the hypothesis strategies: prime powers below a limit, with the powers
+The member sweep over every q up to a limit, a class with its kind, the
+class keys of the record cells with the first member of each, and the
+hypothesis strategies: prime powers below a limit, with the powers
 of 2 and 3 drawn on their own since the two specials live there,
 (q, a, b) anywhere inside the Weil region of q, and (q, a, b) on the
 family patterns.
@@ -14,7 +15,7 @@ from math import isqrt
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from weillab import classify, enumerate_classes, make_weil_quartic
+from weillab import ClassKind, Family, Split2, classify, enumerate_classes, make_weil_quartic
 from weillab.core import ceil_sqrt
 
 from oracles import oracle_all_prime_divisors_1_mod_3, prime_powers_up_to
@@ -30,6 +31,29 @@ def kind_of(q: int, a: int, b: int):
     """The quartic t^4 + a t^3 + b t^2 + a q t + q^2 with the kind classify gives it."""
     f = make_weil_quartic(q, a, b)
     return f, classify(f)
+
+
+_A = ClassKind(Family.PIRR_A)
+_B = {pattern: ClassKind(Family.PIRR_B, pattern) for pattern in ("b=-q", "b=1-2q", "b=2-2q")}
+# every key (kind, splitting of 2 in K+, p == 2, a == 0) of records._MEMBER_CELLS -> the
+# (q, a, b) of the first member that meets it in (q, a, b) order; q = 37 meets the last,
+# and q <= 10^5 meets no other
+CLASS_KEY_FIRST_MEMBERS = {
+    (_A, Split2.INERT, True, False): (2, -1, -1),
+    (ClassKind(Family.SPECIAL_Q2, "(q,b)=(2,-4)"), None, True, True): (2, 0, -4),
+    (_B["b=1-2q"], Split2.RAMIFIED, True, True): (2, 0, -3),
+    (_B["b=-q"], Split2.RAMIFIED, True, True): (2, 0, -2),
+    (ClassKind(Family.SPECIAL_Q3, "(q,b)=(3,-6)"), None, False, True): (3, 0, -6),
+    (_B["b=1-2q"], Split2.RAMIFIED, False, True): (3, 0, -5),
+    (_B["b=2-2q"], Split2.RAMIFIED, False, True): (3, 0, -4),
+    (_A, Split2.RAMIFIED, False, False): (5, -2, -1),
+    (_A, Split2.INERT, False, True): (7, 0, -7),
+    (_B["b=-q"], Split2.RAMIFIED, False, True): (9, 0, -9),
+    (_A, Split2.RAMIFIED, False, True): (13, 0, -13),
+    (_A, Split2.SPLIT, False, True): (19, 0, -19),
+    (_A, Split2.SPLIT, False, False): (23, -4, -7),
+    (_A, Split2.INERT, False, False): (37, -6, -1),
+}
 
 
 def _prime_powers(limit: int):

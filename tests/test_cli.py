@@ -7,15 +7,18 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from weillab import records
+from weillab import cli, records
 from weillab.cli import main, main_entry, prime_powers_in_range
 from weillab.core import InternalInvariantError
 from weillab.records import FIELD_NAMES, ClassRecord, records_for_q
+
+from strategies import CLASS_KEY_FIRST_MEMBERS
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +34,7 @@ def run_cli(capsys, *argv):
 def test_classify_by_label_outside(capsys):
     code, out, _ = run_cli(capsys, "classify", "--label", "2.2.a_ab")
     assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")  # one line, one newline
     record = json.loads(out)
     assert record["class_kind"] == "Outside"
     assert record["q"] == 2 and record["a"] == 0 and record["b"] == -1
@@ -39,6 +43,7 @@ def test_classify_by_label_outside(capsys):
 def test_classify_by_coefficients(capsys):
     code, out, _ = run_cli(capsys, "classify", "--q", "7", "--a", "0", "--b", "-12")
     assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
     record = json.loads(out)
     assert record["class_kind"] == "PirrB"
     assert record["shape2_K"].startswith("(e=4,f=1)x1")
@@ -271,19 +276,22 @@ def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkeypatch, fmt):
-    # the class-decided text of 26,370 records, cached per distinct run of cell values, and
-    # their cells, cached per class key (kind, splitting of 2 in K+ read from the 2-adic class
-    # of delta, p = 2, a = 0)
-    caches = {"csv": {}, "json": {}}
+    # the class-decided text of 26,370 records is rendered once per distinct run of cell
+    # values, and their cells once per class key; the writer is looked up per run, so the
+    # one patched here sees every record written
+    records._class_text.cache_clear()
     member_cells: dict = {}
-    monkeypatch.setattr(records, "_CSV_TEXT", caches["csv"])
-    monkeypatch.setattr(records, "_JSON_TEXT", caches["json"])
     monkeypatch.setattr(records, "_MEMBER_CELLS", member_cells)
+    written: list[ClassRecord] = []
+    line = {"csv": cli.csv_row, "json": cli.to_json_line}[fmt]
+    monkeypatch.setattr(cli, line.__name__, lambda record: written.append(record) or line(record))
     target = str(tmp_path / f"classes.{fmt}")
     assert main(["enumerate", "--q-min", "2", "--q-max", "10000", "--format", fmt, "--output", target]) == 0
     capsys.readouterr()
-    assert 0 < len(caches[fmt]) <= 36
-    assert len(member_cells) == 14
+    assert len(written) == 26370
+    runs = len({record[records._LEAD] for record in written}) + len({record[records._REST] for record in written})
+    assert records._class_text.cache_info().currsize == runs
+    assert set(member_cells) == set(CLASS_KEY_FIRST_MEMBERS)
 
 
 @pytest.mark.parametrize("only_no_genus3", [False, True])
@@ -409,6 +417,15 @@ def test_non_canonical_label_exits_1(capsys, command, label):
     code, _, err = run_cli(capsys, *command.split(), label)
     assert code == 1
     assert "field size" in err
+
+
+def test_over_long_coefficient_code_exits_1_at_once(capsys):
+    # int() refuses a code of more letters than it converts; a digit-by-digit decode is quadratic in its length
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "classify", "--label", "2.7.b" + "z" * 99999 + "_a")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert "too long to convert" in err
 
 
 BIG_Q = 10**39 + 7  # 40 digits: far past the safe bound, and beyond factorising by trial division

@@ -271,6 +271,8 @@ def test_encode_coefficient_at_digit_boundaries(n):
         "2.-2.a_ab",
         # more digits than int() converts: a ValueError that is not MalformedLabel unless caught
         pytest.param("2." + "1" * 5000 + ".a_a", id="q-with-5000-digits"),
+        pytest.param("2.7.b" + "z" * 4999 + "_a", id="a-code-of-5000-letters"),
+        pytest.param("2.7.a_ab" + "z" * 99998, id="b-code-of-100000-letters"),
     ],
 )
 def test_parse_label_malformed(text):

@@ -32,7 +32,7 @@ from weillab import (
 from weillab import records
 from weillab.classify import Family, classify
 
-from strategies import family_members, kind_of
+from strategies import CLASS_KEY_FIRST_MEMBERS, family_members, kind_of
 
 
 def test_record_fields_equal_single_function_path():
@@ -128,13 +128,15 @@ def test_one_two_adic_data_call_per_family_record(monkeypatch, q, a, b, calls):
 def test_verdict_and_cells_derived_once_per_class_key(monkeypatch):
     monkeypatch.setattr(records, "_MEMBER_CELLS", {})
     counts = _count_calls(monkeypatch, genus3_verdict, curve_shape_constraints, two_adic_data)
+    firsts = []
+    member_cells = records._member_cells
+    monkeypatch.setattr(records, "_member_cells", lambda f, kind: firsts.append((f.q, f.a, f.b)) or member_cells(f, kind))
     for f, kind in family_members(64):
         build_record(f, kind)
-    keys = len(records._MEMBER_CELLS)
-    assert keys == 14
-    assert counts["genus3_verdict"] == counts["curve_shape_constraints"] == keys
-    family_keys = sum(kind.is_irreducible_family for kind, *_ in records._MEMBER_CELLS)
-    assert counts["two_adic_data"] == family_keys == 12
+    # the cells of each key come from its first member, in the order the keys are met
+    assert list(zip(records._MEMBER_CELLS, firsts)) == list(CLASS_KEY_FIRST_MEMBERS.items())
+    assert counts["genus3_verdict"] == counts["curve_shape_constraints"] == len(CLASS_KEY_FIRST_MEMBERS)
+    assert counts["two_adic_data"] == sum(kind.is_irreducible_family for kind, *_ in CLASS_KEY_FIRST_MEMBERS)
 
 
 def test_member_checks_run_on_a_warm_class_key(monkeypatch):

@@ -3,7 +3,8 @@
 ``csv_row`` and ``to_json_line`` format the head of a record directly
 and take the cells its class decides from text rendered once per value
 tuple.  Whatever class a record is for, the line must be what
-``csv.writer`` and ``json.dumps`` write for the whole record.  Half the
+``csv.writer`` and ``json.dumps`` write for the whole record, with its
+newline.  Half the
 draws follow the family patterns, so members of both families meet the
 text caches as often as Outside classes do.
 """
@@ -40,4 +41,4 @@ def stdlib_csv_line(record) -> str:
 def test_serialisers_match_the_stdlib(qab):
     record = build_record(make_weil_quartic(*qab))
     assert csv_row(record) == stdlib_csv_line(record)
-    assert to_json_line(record) == json.dumps(record._asdict())
+    assert to_json_line(record) == json.dumps(record._asdict()) + "\n"
