@@ -53,6 +53,10 @@ class Family(Enum):
     SPECIAL_Q3 = "SpecialQ3"
     OUTSIDE = "Outside"
 
+    # members compare by identity, so the C-level identity hash is consistent with
+    # equality; Enum.__hash__ is a Python call, made twice per record for a class key
+    __hash__ = object.__hash__
+
 
 # coefficient patterns of family B, used as b_case tags and certificates
 B_CASE_1_MINUS_2Q = "b=1-2q"
@@ -172,22 +176,36 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     Family A candidates are (+-a, a^2 - q) for each a >= 0 with a^2 < q
     whose q - a^2 passes the prime-divisor test; family B candidates are
     ``_family_b_patterns``.  Every candidate is a member, none Outside.
+
+    A product of primes 1 mod 3 is 1 mod 6, so only the a with
+    a^2 = q - 1 (mod 6) are tested: one or two residues of a mod 6, and
+    none at q = 3^r.  The members with a >= 0 are validated and
+    classified; each (-a, b) is the member (a, b) with a negated and the
+    same kind, since the Weil region, the family conditions and
+    disc(f+) = 12q - 3a^2 depend on a only through a^2 and whether a = 0.
     """
     p, r = require_prime_power(q)
-    # candidate (a, b) -> whether it meets the family A condition
-    in_a: dict[tuple[int, int], bool] = {}
-    for a in range(isqrt(q - 1) + 1):
-        b = a * a - q
-        if prime_divisors_all_1_mod_3(-b):
-            in_a[a, b] = in_a[-a, b] = True
     patterns = _family_b_patterns(q, p, r)
-    for b in patterns:
-        in_a.setdefault((0, b), False)
+    # b at a = 0 -> whether it meets the family A condition
+    at_zero = dict.fromkeys(patterns, False)
+    positive = []
+    # the a >= 0 with a^2 < q and q - a^2 = 1 (mod 6), in increasing order
+    bound = isqrt(q - 1) + 1
+    for a in sorted(a for x in range(6) if (q - x * x) % 6 == 1 for a in range(x, bound, 6)):
+        if prime_divisors_all_1_mod_3(q - a * a):
+            if a:
+                positive.append(a)
+            else:
+                at_zero[-q] = True
     members = []
-    for a, b in sorted(in_a):
-        f = make_weil_quartic(q, a, b)
-        members.append((f, _classify_matched(f, in_a[a, b], patterns.get(b) if a == 0 else None)))
-    return members
+    for b in sorted(at_zero):
+        f = make_weil_quartic(q, 0, b)
+        members.append((f, _classify_matched(f, at_zero[b], patterns.get(b))))
+    for a in positive:
+        f = make_weil_quartic(q, a, a * a - q)
+        members.append((f, _classify_matched(f, True, None)))
+    mirrors = [(WeilQuartic(q, p, r, -f.a, f.b), kind) for f, kind in reversed(members) if f.a]
+    return mirrors + members
 
 
 def _require_family(kind: ClassKind, operation: str, families: tuple[Family, ...]) -> None:

@@ -309,6 +309,18 @@ def _decode_coefficient(code: str) -> int:
     return -value if code[0] == "a" else value
 
 
+# a MalformedLabel message quotes at most this many characters of the text, so that
+# its line stays short however long the input is
+_QUOTE_LIMIT = 48
+
+
+def _quote(text: str) -> str:
+    # repr(text), or the repr of a prefix followed by an ellipsis and the length
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def render_label(f: WeilQuartic) -> str:
     return f"2.{f.q}.{_encode_coefficient(f.a)}_{_encode_coefficient(f.b)}"
 
@@ -323,17 +335,17 @@ def label_coefficients(text: str) -> tuple[int, int, int]:
     """
     match = _LABEL.fullmatch(text)
     if match is None:
-        raise MalformedLabel(f"label {text!r} is not of the form 2.<q>.<enc(a)>_<enc(b)>")
+        raise MalformedLabel(f"label {_quote(text)} is not of the form 2.<q>.<enc(a)>_<enc(b)>")
     q_text, *codes = match.groups()
     if _FIELD_SIZE.fullmatch(q_text) is None:
-        raise MalformedLabel(f"label {text!r} has a field size that is not ASCII decimal without a leading zero")
+        raise MalformedLabel(f"label {_quote(text)} has a field size that is not ASCII decimal without a leading zero")
     for code in codes:
         if _COEFFICIENT.fullmatch(code) is None:
-            raise MalformedLabel(f"coefficient code {code!r} is not lower-case base 26 without a leading zero digit")
+            raise MalformedLabel(f"coefficient code {_quote(code)} is not lower-case base 26 without a leading zero digit")
     try:
         return int(q_text), *(_decode_coefficient(code) for code in codes)
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise MalformedLabel(f"label {text!r} has a field size or coefficient code too long to convert") from None
+        raise MalformedLabel(f"label {_quote(text)} has a field size or coefficient code too long to convert") from None
 
 
 def parse_label(text: str) -> WeilQuartic:

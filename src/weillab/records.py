@@ -110,8 +110,24 @@ def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
 
 
 def records_for_q(q: int) -> list[ClassRecord]:
-    """Records of every family member at q, in (a, b) order."""
-    return [build_record(f, kind) for f, kind in enumerate_classes(q)]
+    """Records of every family member at q, in (a, b) order.
+
+    The members come from ``enumerate_classes``, which tests only the a
+    with q - a^2 = 1 (mod 6) and lists the a < 0 members first, the a > 0
+    ones mirrored in reverse.  Only the members with a >= 0 are built:
+    (-a, b) has the kind, disc(f+) = 12q - 3a^2 and class key of (a, b),
+    so its record is the record of (a, b) with a negated and the sign
+    marker ``a`` put in front of enc(a) in the label.
+    """
+    built = [build_record(f, kind) for f, kind in enumerate_classes(q) if f.a >= 0]
+    head = f"2.{q}."
+    n = len(head)
+    mirrors = [
+        ClassRecord._make((*record[:3], -record.a, record.b, f"{head}a{record.label[n:]}", *record[6:]))
+        for record in reversed(built)
+        if record.a
+    ]
+    return mirrors + built
 
 
 def _cell(value: object) -> str:

@@ -50,6 +50,8 @@ class Split2(Enum):
     INERT = "Inert"
     RAMIFIED = "Ramified"
 
+    __hash__ = object.__hash__  # as for classify.Family: part of every record's class key
+
 
 @unique
 class ConjugationTag(Enum):

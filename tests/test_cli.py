@@ -428,6 +428,20 @@ def test_over_long_coefficient_code_exits_1_at_once(capsys):
     assert "too long to convert" in err
 
 
+@pytest.mark.parametrize(
+    "label",
+    ["2.7.aa" + "z" * 4998 + "_a", "2.7.b" + "z" * 99999 + "_a", "2." + "1" * 5000 + ".a_a", "x" * 100000],
+    ids=["code-of-5000-letters", "code-of-100000-letters", "q-of-5000-digits", "no-form"],
+)
+@pytest.mark.parametrize("command", ["classify --label", "label --decode"])
+def test_over_long_label_error_is_one_short_line(capsys, command, label):
+    code, out, err = run_cli(capsys, *command.split(), label)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: label") or err.startswith("error: coefficient code")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 BIG_Q = 10**39 + 7  # 40 digits: far past the safe bound, and beyond factorising by trial division
 
 

@@ -280,6 +280,35 @@ def test_parse_label_malformed(text):
         parse_label(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2.2.zz", "label '2.2.zz' is not of the form 2.<q>.<enc(a)>_<enc(b)>"),
+        ("2.007.a_ab", "label '2.007.a_ab' has a field size that is not ASCII decimal without a leading zero"),
+        ("2.2.a_a1", "coefficient code 'a1' is not lower-case base 26 without a leading zero digit"),
+        ("2.7.b" + "z" * 43, "label '2.7.b" + "z" * 43 + "' is not of the form 2.<q>.<enc(a)>_<enc(b)>"),
+        (
+            "2.7.b" + "z" * 44,
+            "label '2.7.b" + "z" * 43 + "'... (49 characters) is not of the form 2.<q>.<enc(a)>_<enc(b)>",
+        ),
+        (
+            "2.7.aa" + "z" * 4998 + "_a",
+            "coefficient code 'aa" + "z" * 46 + "'... (5000 characters) is not lower-case base 26 without a leading zero digit",
+        ),
+        (
+            "2.7.a_ab" + "z" * 99998,
+            "label '2.7.a_ab" + "z" * 40 + "'... (100006 characters) has a field size or coefficient code too long to convert",
+        ),
+    ],
+    ids=["form", "field-size", "code", "48-characters", "49-characters", "code-of-5000-letters", "code-of-100000-letters"],
+)
+def test_malformed_label_quotes_at_most_48_characters(text, message):
+    # a label of up to 48 characters is quoted whole; a longer text is cut, with its length
+    with pytest.raises(MalformedLabel) as raised:
+        label_coefficients(text)
+    assert str(raised.value) == message
+
+
 def test_parse_label_invalid_quartic():
     with pytest.raises(NotPrimePower):
         parse_label("2.6.a_ag")
