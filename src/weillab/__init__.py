@@ -38,7 +38,7 @@ from .core import (
     render_label,
     squarefree_part,
 )
-from .records import ClassRecord, build_record, records_for_q
+from .records import ClassRecord, build_record, records_for_q, with_mirrors
 from .two_adic import (
     ConjugationTag,
     DegenerateDiscriminant,
@@ -95,4 +95,5 @@ __all__ = [
     "squarefree_part",
     "two_adic_data",
     "weil_restriction_bounds",
+    "with_mirrors",
 ]

@@ -36,6 +36,7 @@ from .core import (
     make_weil_quartic,
     require_prime_power,
     trial_limit,
+    weil_validity_failure,
     _product,
     _small_primes,
 )
@@ -179,10 +180,20 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
 
     A product of primes 1 mod 3 is 1 mod 6, so only the a with
     a^2 = q - 1 (mod 6) are tested: one or two residues of a mod 6, and
-    none at q = 3^r.  The members with a >= 0 are validated and
-    classified; each (-a, b) is the member (a, b) with a negated and the
-    same kind, since the Weil region, the family conditions and
-    disc(f+) = 12q - 3a^2 depend on a only through a^2 and whether a = 0.
+    none at q = 3^r.  The members with a >= 0 are classified; each
+    (-a, b) is the member (a, b) with a negated and the same kind, since
+    the Weil region, the family conditions and disc(f+) = 12q - 3a^2
+    depend on a only through a^2 and whether a = 0.
+
+    The a = 0 members are built by ``make_weil_quartic``.  A member with
+    a > 0 needs no second prime-power lookup, since q = p^r was decided
+    once above, and lies in the Weil region: with a^2 < q and
+    b = a^2 - q,
+        a^2 < q <= 16q;
+        2q + b = q + a^2 > 0 and (2q + b)^2 - 4a^2 q = (q - a^2)^2 >= 0;
+        a^2 - 4b + 8q = 12q - 3a^2 > 0.
+    So it is built directly, and ``weil_validity_failure`` only guards
+    that argument.
     """
     p, r = require_prime_power(q)
     patterns = _family_b_patterns(q, p, r)
@@ -202,7 +213,10 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
         f = make_weil_quartic(q, 0, b)
         members.append((f, _classify_matched(f, at_zero[b], patterns.get(b))))
     for a in positive:
-        f = make_weil_quartic(q, a, a * a - q)
+        f = WeilQuartic(q, p, r, a, a * a - q)
+        failure = weil_validity_failure(q, a, f.b)
+        if failure is not None:
+            raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
         members.append((f, _classify_matched(f, True, None)))
     mirrors = [(WeilQuartic(q, p, r, -f.a, f.b), kind) for f, kind in reversed(members) if f.a]
     return mirrors + members

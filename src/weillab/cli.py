@@ -23,6 +23,8 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext
+from itertools import compress
+from math import isqrt
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
@@ -31,10 +33,11 @@ from .core import (
     WeilQuartic,
     label_coefficients,
     make_weil_quartic,
-    prime_power_decomposition,
     render_label,
+    _quote,
+    _small_primes,
 )
-from .records import FIELD_NAMES, ClassRecord, build_record, csv_row, records_for_q, to_json_line
+from .records import FIELD_NAMES, ClassRecord, build_record, pair_lines, records_for_q, to_json_line, with_mirrors
 
 SAFE_BOUND = 10**6
 
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_q(q: int) -> None:
     if q > SAFE_BOUND:
-        raise ValueError(f"q={q} exceeds the safe bound {SAFE_BOUND}")
+        raise ValueError(f"q={_quote(str(q))} exceeds the safe bound {SAFE_BOUND}")
 
 
 def _bounded_quartic(q: int, a: int, b: int) -> WeilQuartic:
@@ -125,8 +128,30 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 
 
 def prime_powers_in_range(lo: int, hi: int) -> list[int]:
-    """Prime powers q with lo <= q <= hi, ascending; other q are skipped."""
-    found = [q for q in range(max(2, lo), hi + 1) if prime_power_decomposition(q) is not None]
+    """Prime powers q with lo <= q <= hi, ascending; other q are skipped.
+
+    One sieve of [lo, hi] by the primes p <= isqrt(hi) leaves the primes
+    there: each composite n in it has a prime factor p with p^2 <= n,
+    and is crossed off from max(p^2, the first multiple of p >= lo).
+    The powers p^k, k >= 2, in the range have p <= isqrt(hi) too.
+    """
+    lo = max(2, lo)
+    if lo > hi:
+        return []
+    primes = _small_primes(max(2, isqrt(hi)))
+    is_prime = bytearray(b"\x01") * (hi - lo + 1)
+    for p in primes:
+        start = max(p * p, -(-lo // p) * p)
+        if start <= hi:
+            is_prime[start - lo :: p] = bytes((hi - start) // p + 1)
+    found = list(compress(range(lo, hi + 1), is_prime))
+    for p in primes:
+        power = p * p
+        while power <= hi:
+            if power >= lo:
+                found.append(power)
+            power *= p
+    found.sort()
     return found
 
 
@@ -218,19 +243,20 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     with _open_output(args.output) if args.output else nullcontext(out) as sink:
         if args.format == "csv":
             sink.write(",".join(FIELD_NAMES) + "\n")
-        # looked up per run, so a writer rebound after import is the one called
-        line = csv_row if args.format == "csv" else to_json_line
-        # records_for_q yields (a, b) order, so the records come out in (q, a, b) order
+        # records_for_q holds the a >= 0 members of each pair (+-a, b), whose two records
+        # share every cell but a and the label; both writers keep (q, a, b) order
         for q in prime_powers_in_range(q_min, q_max):
             records = records_for_q(q)
             if args.only_no_genus3:
                 records = [record for record in records if record.genus3_exists is False]
             if args.format == "table":
-                table.extend(records)
+                table.extend(with_mirrors(records))
             else:
-                sink.writelines(map(line, records))
-            kinds.update(record.class_kind for record in records)
-            genus3.update(record.genus3_exists for record in records)
+                sink.write("".join(pair_lines(records, args.format)))
+            for record in records:
+                weight = 2 if record.a else 1
+                kinds[record.class_kind] += weight
+                genus3[record.genus3_exists] += weight
         if args.format == "table":
             _render_table(table, sink)
 
@@ -268,11 +294,11 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     if args.encode is not None:
         parts = args.encode.split(",")
         if len(parts) != 3:
-            raise ValueError(f"--encode expects q,a,b, got {args.encode!r}")
+            raise ValueError(f"--encode expects q,a,b, got {_quote(args.encode)}")
         try:
             q, a, b = (int(part) for part in parts)
         except ValueError:
-            raise ValueError(f"--encode expects three integers, got {args.encode!r}")
+            raise ValueError(f"--encode expects three integers, got {_quote(args.encode)}")
     else:
         q, a, b = label_coefficients(args.decode)
     f = _bounded_quartic(q, a, b)

@@ -110,24 +110,32 @@ def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
 
 
 def records_for_q(q: int) -> list[ClassRecord]:
-    """Records of every family member at q, in (a, b) order.
+    """Records of the family members at q with a >= 0, in (a, b) order.
 
-    The members come from ``enumerate_classes``, which tests only the a
-    with q - a^2 = 1 (mod 6) and lists the a < 0 members first, the a > 0
-    ones mirrored in reverse.  Only the members with a >= 0 are built:
-    (-a, b) has the kind, disc(f+) = 12q - 3a^2 and class key of (a, b),
-    so its record is the record of (a, b) with a negated and the sign
-    marker ``a`` put in front of enc(a) in the label.
+    Each record with a != 0 stands for its pair (+-a, b): (-a, b) has the
+    kind, disc(f+) = 12q - 3a^2 and class key of (a, b), so its record
+    is the record of (a, b) with a negated and the sign marker ``a`` put
+    in front of enc(a) in the label.  :func:`with_mirrors` gives every
+    member's record; :func:`pair_lines` writes them all.
     """
-    built = [build_record(f, kind) for f, kind in enumerate_classes(q) if f.a >= 0]
-    head = f"2.{q}."
-    n = len(head)
-    mirrors = [
-        ClassRecord._make((*record[:3], -record.a, record.b, f"{head}a{record.label[n:]}", *record[6:]))
-        for record in reversed(built)
-        if record.a
-    ]
-    return mirrors + built
+    return [build_record(f, kind) for f, kind in enumerate_classes(q) if f.a >= 0]
+
+
+def with_mirrors(records: list[ClassRecord]) -> list[ClassRecord]:
+    """The records of every member at one q, in (a, b) order, from its ``records_for_q``.
+
+    The (-a, b) records come first, mirrored in reverse from the records
+    with a != 0.  A filter on a cell both members of a pair share (such
+    as ``genus3_exists``) gives the same list before as after.
+    """
+    mirrors = [record._replace(a=-record.a, label=_mirror_label(record.label)) for record in reversed(records) if record.a]
+    return mirrors + records
+
+
+def _mirror_label(label: str) -> str:
+    # 2.<q>.<enc(a)>_<enc(b)> of an a > 0 -> the label of (-a, b); codes hold no dot
+    head, _, codes = label.rpartition(".")
+    return f"{head}.a{codes}"
 
 
 def _cell(value: object) -> str:
@@ -155,24 +163,45 @@ def _class_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
     return buffer.getvalue()[:-1], json.dumps(dict(zip(names, cells)))[1:-1]
 
 
-def csv_row(record: ClassRecord) -> str:
-    """The record's CSV line, newline included, as ``csv.writer`` writes its cells.
+# A line is pre + a + mid + label + post: pre holds the cells before a, mid the cell b, and
+# post the cells after the label, newline included.  The two members of a pair (+-a, b)
+# share the three parts and differ in a and the label only, so the pair writer renders
+# the parts once per pair.
 
-    The head (q, p, r, a, b, label, fplus_disc, c, d) is integers, None
-    and a label of ASCII letters, digits, dots and an underscore, none of
-    which needs quoting, so it is formatted directly.  The cells the
-    class decides are rendered by ``csv.writer`` once per distinct value
-    tuple, which decides their quoting.  The cache is keyed by value, and
-    1 == True, so the bool columns must hold bool or None only.
-    """
+
+def _csv_parts(record: ClassRecord) -> tuple[str, str, str]:
     c = "" if record.c is None else record.c
     d = "" if record.d is None else record.d
     lead = _class_text(_LEAD_FIELDS, record[_LEAD])[0]
     rest = _class_text(_REST_FIELDS, record[_REST])[0]
+    return f"{record.q},{record.p},{record.r},", f",{record.b},", f",{lead},{record.fplus_disc},{c},{d},{rest}\n"
+
+
+def _json_parts(record: ClassRecord) -> tuple[str, str, str]:
+    c = "null" if record.c is None else record.c
+    d = "null" if record.d is None else record.d
+    lead = _class_text(_LEAD_FIELDS, record[_LEAD])[1]
+    rest = _class_text(_REST_FIELDS, record[_REST])[1]
     return (
-        f"{record.q},{record.p},{record.r},{record.a},{record.b},{record.label},"
-        f"{lead},{record.fplus_disc},{c},{d},{rest}\n"
+        f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": ',
+        f', "b": {record.b}, "label": "',
+        f'", {lead}, "fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {rest}}}\n',
     )
+
+
+def csv_row(record: ClassRecord) -> str:
+    """The record's CSV line, newline included, as ``csv.writer`` writes its cells.
+
+    The cells q, p, r, a, b, label, fplus_disc, c and d are integers,
+    None and a label of ASCII letters, digits, dots and an underscore,
+    none of which needs quoting, so they are formatted directly.  The
+    cells the class decides are rendered by ``csv.writer`` once per
+    distinct value tuple, which decides their quoting.  The cache is
+    keyed by value, and 1 == True, so the bool columns must hold bool or
+    None only.
+    """
+    pre, mid, post = _csv_parts(record)
+    return f"{pre}{record.a}{mid}{record.label}{post}"
 
 
 def to_json_line(record: ClassRecord) -> str:
@@ -181,11 +210,23 @@ def to_json_line(record: ClassRecord) -> str:
     The label's characters need no JSON escape, and the class-decided
     cells are rendered by ``json.dumps`` once per distinct value tuple.
     """
-    c = "null" if record.c is None else record.c
-    d = "null" if record.d is None else record.d
-    lead = _class_text(_LEAD_FIELDS, record[_LEAD])[1]
-    rest = _class_text(_REST_FIELDS, record[_REST])[1]
-    return (
-        f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": {record.a}, "b": {record.b}, '
-        f'"label": "{record.label}", {lead}, "fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {rest}}}\n'
-    )
+    pre, mid, post = _json_parts(record)
+    return f"{pre}{record.a}{mid}{record.label}{post}"
+
+
+def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
+    """The ``fmt`` ("csv" or "json") lines of ``with_mirrors(records)``, in that order.
+
+    ``records`` are one q's ``records_for_q``, or those of them that a
+    filter on a cell both members of a pair share keeps.  The parts of
+    each pair (+-a, b) are rendered once and written in two lines; a
+    record with a = 0 has no mirror and is written by :func:`csv_row` or
+    :func:`to_json_line`.
+    """
+    parts = _csv_parts if fmt == "csv" else _json_parts
+    single = csv_row if fmt == "csv" else to_json_line
+    pairs = [(record.a, record.label, *parts(record)) for record in records if record.a]
+    lines = [f"{pre}-{a}{mid}{_mirror_label(label)}{post}" for a, label, pre, mid, post in reversed(pairs)]
+    lines += [single(record) for record in records if not record.a]
+    lines += [f"{pre}{a}{mid}{label}{post}" for a, label, pre, mid, post in pairs]
+    return lines

@@ -12,11 +12,13 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weillab import cli, records
 from weillab.cli import main, main_entry, prime_powers_in_range
-from weillab.core import InternalInvariantError
-from weillab.records import FIELD_NAMES, ClassRecord, records_for_q
+from weillab.core import InternalInvariantError, prime_power_decomposition
+from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, with_mirrors
 
 from strategies import CLASS_KEY_FIRST_MEMBERS
 
@@ -277,14 +279,14 @@ def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkeypatch, fmt):
     # the class-decided text of 26,370 records is rendered once per distinct run of cell
-    # values, and their cells once per class key; the writer is looked up per run, so the
-    # one patched here sees every record written
+    # values, and their cells once per class key; every line is written through
+    # pair_lines, so the one patched here sees every record written
     records._class_text.cache_clear()
     member_cells: dict = {}
     monkeypatch.setattr(records, "_MEMBER_CELLS", member_cells)
     written: list[ClassRecord] = []
-    line = {"csv": cli.csv_row, "json": cli.to_json_line}[fmt]
-    monkeypatch.setattr(cli, line.__name__, lambda record: written.append(record) or line(record))
+    pair_lines = cli.pair_lines
+    monkeypatch.setattr(cli, "pair_lines", lambda built, fmt: written.extend(with_mirrors(built)) or pair_lines(built, fmt))
     target = str(tmp_path / f"classes.{fmt}")
     assert main(["enumerate", "--q-min", "2", "--q-max", "10000", "--format", fmt, "--output", target]) == 0
     capsys.readouterr()
@@ -301,7 +303,7 @@ def test_enumerate_summary_line_counts_the_written_records(capsys, only_no_genus
     records = [
         record
         for q in prime_powers_in_range(2, 100)
-        for record in records_for_q(q)
+        for record in with_mirrors(records_for_q(q))
         if not only_no_genus3 or record.genus3_exists is False
     ]
     kinds = Counter(record.class_kind for record in records)
@@ -328,6 +330,31 @@ def test_enumerate_byte_identical_across_runs_and_jobs(capsys):
 def test_prime_powers_in_range():
     assert prime_powers_in_range(2, 12) == [2, 3, 4, 5, 7, 8, 9, 11]
     assert prime_powers_in_range(24, 28) == [25, 27]
+
+
+def decomposed_prime_powers(lo: int, hi: int) -> list[int]:
+    # the sieve's reference: every q of the range through prime_power_decomposition
+    return [q for q in range(max(2, lo), hi + 1) if prime_power_decomposition(q)]
+
+
+@pytest.mark.parametrize(
+    ("lo", "hi"),
+    [
+        (2, 2), (2, 3), (4, 4), (5, 30), (0, 1), (10, 9), (14, 16),
+        # lo a prime, a prime square or a power of 2
+        (997, 1100), (999983, 10**6), (961, 1000), (994009, 994400), (1024, 1100), (2**19, 2**19 + 300),
+        (998001, 10**6), (2, 2 * 10**5),
+    ],
+)
+def test_prime_powers_in_range_matches_factorising_each_q(lo, hi):
+    assert prime_powers_in_range(lo, hi) == decomposed_prime_powers(lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 5000))
+def test_prime_powers_in_range_matches_factorising_each_q_below_10_6(hi, width):
+    # the range is at most 5001 wide, which keeps the reference cheap
+    assert prime_powers_in_range(hi - width, hi) == decomposed_prime_powers(hi - width, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +455,29 @@ def test_over_long_coefficient_code_exits_1_at_once(capsys):
     assert "too long to convert" in err
 
 
-@pytest.mark.parametrize(
-    "label",
-    ["2.7.aa" + "z" * 4998 + "_a", "2.7.b" + "z" * 99999 + "_a", "2." + "1" * 5000 + ".a_a", "x" * 100000],
-    ids=["code-of-5000-letters", "code-of-100000-letters", "q-of-5000-digits", "no-form"],
-)
-@pytest.mark.parametrize("command", ["classify --label", "label --decode"])
-def test_over_long_label_error_is_one_short_line(capsys, command, label):
-    code, out, err = run_cli(capsys, *command.split(), label)
+# over-long input -> the start of its one error line
+_OVER_LONG_LABELS = {
+    "code-of-5000-letters": ("2.7.aa" + "z" * 4998 + "_a", "error: coefficient code"),
+    "code-of-100000-letters": ("2.7.b" + "z" * 99999 + "_a", "error: label"),
+    "q-of-5000-digits": ("2." + "1" * 5000 + ".a_a", "error: label"),
+    "no-form": ("x" * 100000, "error: label"),
+    # int() converts these 4,000 digits, so the safe-bound check quotes the q
+    "q-of-4000-digits": ("2." + "1" * 4000 + ".a_a", "error: q="),
+}
+_OVER_LONG_CASES = {
+    f"{command}-{name}": (command, text, start)
+    for command in ("classify --label", "label --decode")
+    for name, (text, start) in _OVER_LONG_LABELS.items()
+}
+_OVER_LONG_CASES["label --encode-100000-digits"] = ("label --encode", "1" * 100000, "error: --encode")
+
+
+@pytest.mark.parametrize(("command", "text", "start"), list(_OVER_LONG_CASES.values()), ids=list(_OVER_LONG_CASES))
+def test_over_long_label_error_is_one_short_line(capsys, command, text, start):
+    code, out, err = run_cli(capsys, *command.split(), text)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: label") or err.startswith("error: coefficient code")
+    assert err.startswith(start)
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
 

@@ -1,11 +1,14 @@
-"""Range mode builds each (+-a, b) pair once and tests only the a with q - a^2 = 1 (mod 6).
+"""Range mode works per (+-a, b) pair, from candidate to written line.
 
-enumerate_classes validates and classifies the members with a >= 0 and
-mirrors each (a, b) with a > 0 to (-a, b) with the same kind; records_for_q
-builds the records of the members with a >= 0 and mirrors those.  Both
-are checked against the direct routes: every a from 0 to isqrt(q - 1)
-and every family B pattern, each through make_weil_quartic and
-_classify_matched, and build_record on every member.
+enumerate_classes classifies the members with a >= 0, builds only the
+a = 0 ones through make_weil_quartic, and mirrors each (a, b) with a > 0
+to (-a, b) with the same kind.  records_for_q builds the records of the
+members with a >= 0; with_mirrors gives every member's record, and
+pair_lines writes their lines, rendering each pair's cells once.  All are
+checked against the direct routes: every a from 0 to isqrt(q - 1) and
+every family B pattern, each through make_weil_quartic and
+_classify_matched, build_record on every member, and csv_row or
+to_json_line on every record.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from hypothesis import example, given, settings
 from weillab import build_record, enumerate_classes, make_weil_quartic, parse_label, render_label
 from weillab.classify import _classify_matched, _family_b_patterns, prime_divisors_all_1_mod_3
 from weillab.core import require_prime_power
-from weillab.records import records_for_q
+from weillab.records import csv_row, pair_lines, records_for_q, to_json_line, with_mirrors
 
 from oracles import prime_powers_up_to
 from strategies import Q_BELOW_10_6
@@ -52,13 +55,26 @@ def check_pairs(q: int) -> None:
     assert classes == every_a_classes(q), q
     kinds = {(f.a, f.b): kind for f, kind in classes}
     assert all(kind is kinds[-f.a, f.b] for f, kind in classes if f.a < 0), q
-    records = records_for_q(q)
+    built = records_for_q(q)
+    assert built == [build_record(f, kind) for f, kind in classes if f.a >= 0], q
+    records = with_mirrors(built)
     assert records == [build_record(f, kind) for f, kind in classes], q
     for record in records:
         if record.a < 0:
             f = parse_label(record.label)
             assert (f.q, f.a, f.b) == (record.q, record.a, record.b)
             assert render_label(f) == record.label
+    check_lines(built)
+
+
+def check_lines(built) -> None:
+    """pair_lines writes what the single-record writers write for every record, filtered or not."""
+    no_genus3 = [record for record in built if record.genus3_exists is False]
+    for fmt, line in (("csv", csv_row), ("json", to_json_line)):
+        assert pair_lines(built, fmt) == [line(record) for record in with_mirrors(built)]
+        assert pair_lines(no_genus3, fmt) == [
+            line(record) for record in with_mirrors(built) if record.genus3_exists is False
+        ]
 
 
 def test_pairs_match_the_every_a_route_up_to_5000():
@@ -94,6 +110,7 @@ def test_only_members_with_a_at_least_0_are_built(monkeypatch, q):
     quartics, records = [], []
     monkeypatch.setattr(CLASSIFY, "make_weil_quartic", lambda *qab: quartics.append(qab[1]) or make_weil_quartic(*qab))
     monkeypatch.setattr(RECORDS, "build_record", lambda f, kind: records.append(f.a) or build_record(f, kind))
-    members = records_for_q(q)
-    assert sorted(quartics) == sorted(records) == sorted(record.a for record in members if record.a >= 0)
-    assert len(members) == 2 * len(records) - sum(a == 0 for a in records)
+    built = records_for_q(q)
+    assert records == [record.a for record in built] and min(records) == 0
+    assert quartics == [0] * records.count(0)
+    assert len(with_mirrors(built)) == 2 * len(built) - records.count(0)
