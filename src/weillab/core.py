@@ -21,9 +21,9 @@ division accepts 1 <= n < 2^40 and raises ValueError beyond, before any
 sieve is built, so a q that large is refused by make_weil_quartic.
 squarefree_part does not trial-divide: it takes gcds of n against the
 product of the primes up to the cube root of |n| (a primorial, cached
-per power-of-two bound), with the same 2^40 ceiling.  disc(f+) <= 16q
-in the Weil region, so every class with q < 2^36 builds a record.  The
-command line front end refuses q above its safe bound.
+per power-of-two bound), and accepts 0 < |n| < 2^44.  disc(f+) <= 16q
+in the Weil region, so every class make_weil_quartic accepts builds a
+record.  The command line front end refuses q above its safe bound.
 """
 
 from __future__ import annotations
@@ -95,14 +95,14 @@ def trial_limit(n: int) -> int:
     Raises ValueError outside that range before any sieve or prime
     product is built; a sieve to this bound has at most 2^21 entries.
     """
-    _require_below_2_40(n)
+    _require_below(n, 40)
     # rounded up to a power of two so the caches keyed on it are reused
     return 1 << (isqrt(n) + 1).bit_length()
 
 
-def _require_below_2_40(n: int) -> None:
-    if not 1 <= n < 1 << 40:
-        raise ValueError(f"factorisation expects 1 <= n < 2^40, got {n}")
+def _require_below(n: int, bits: int) -> None:
+    if not 1 <= n < 1 << bits:
+        raise ValueError(f"factorisation expects 1 <= n < 2^{bits}, got {n}")
 
 
 def _product(values: Sequence[int]) -> int:
@@ -167,7 +167,8 @@ def squarefree_part(n: int) -> tuple[int, int]:
     """Decompose n != 0 as n = c^2 * d with c > 0 and d squarefree.
 
     The sign of d equals the sign of n, e.g. squarefree_part(48) == (4, 3)
-    and squarefree_part(-48) == (4, -3).  Accepts 0 < |n| < 2^40.
+    and squarefree_part(-48) == (4, -3).  Accepts 0 < |n| < 2^44, which
+    holds every disc(f+) <= 16q with q < 2^40.
 
     Let P be the product of the primes up to B, the least power of two
     with B^3 > |n|.  The layers a_1 = gcd(|n|, P) and a_{k+1} =
@@ -180,7 +181,7 @@ def squarefree_part(n: int) -> tuple[int, int]:
     if n == 0:
         raise ValueError("squarefree_part of 0 is undefined")
     m = abs(n)
-    _require_below_2_40(m)
+    _require_below(m, 44)
     # B = 2^k with 3k >= bit_length(m) is the least power of two with B^3 > m
     layer = gcd(m, _primorial(1 << -(-m.bit_length() // 3)))
     c = d = 1

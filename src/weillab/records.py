@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
 from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
-from .two_adic import _delta_split2, two_adic_data
+from .two_adic import _split2_of, two_adic_data
 from .verdict import curve_shape_constraints, genus3_verdict
 
 
@@ -49,7 +49,8 @@ FIELD_NAMES = ClassRecord._fields
 
 
 # (kind, splitting of 2 in K+, p == 2, a == 0) of a family member -> its record cells
-# before and after (fplus_disc, c, d); kinds come from classify, so there are a few dozen keys
+# before and after (fplus_disc, c, d); kinds come from classify, which meets 14 keys
+# (tests/strategies.py CLASS_KEY_FIRST_MEMBERS)
 _MEMBER_CELLS: dict[tuple, tuple[tuple, tuple]] = {}
 
 
@@ -58,24 +59,22 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
 
     Per record only the head is computed: q, p, r, a, b, label and the
     discriminant delta of f+ as c^2 * d, from its one squarefree
-    decomposition.  For a family A or B member, the 2-adic class of
-    delta checks the member and splits 2 in K+.  The other cells (2-adic
-    data, :func:`genus3_verdict`, p-rank, curve shape) depend only on the
-    kind, that splitting, whether p = 2 and whether a = 0, so they are
-    derived once per such key.  The irreducible column is read from
+    decomposition, for every kind.  For a family A or B member, delta
+    and d check the member and d mod 8 splits 2 in K+.  The other cells
+    (2-adic data, :func:`genus3_verdict`, p-rank, curve shape) depend
+    only on the kind, that splitting, whether p = 2 and whether a = 0,
+    so they are derived once per such key.  The irreducible column is read from
     ``kind``: only an Outside class is tested here.
     """
     if kind is None:
         kind = classify(f)
-    if kind.is_irreducible_family:
-        delta, split2 = _delta_split2(f)
-    else:
-        delta, split2 = fplus_discriminant(f), None
+    delta = fplus_discriminant(f)
     c, d = squarefree_part(delta) if delta != 0 else (None, None)
     if kind.family is Family.OUTSIDE:
         lead = (kind.family.value, None, None, is_irreducible_over_Q(f))
         rest = (None,) * 7 + (f"reason={kind.reason}",)  # no 2-adic data and no verdict
     else:
+        split2 = _split2_of(f, delta, d) if kind.is_irreducible_family else None
         key = (kind, split2, f.p == 2, f.a == 0)
         cells = _MEMBER_CELLS.get(key)
         if cells is None:
@@ -155,12 +154,18 @@ _LEAD_FIELDS = FIELD_NAMES[_LEAD]
 _REST_FIELDS = FIELD_NAMES[_REST]
 
 
-@cache
-def _class_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
-    # the CSV and JSON text of the cells named names, rendered by the stdlib once per key
+def _run_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
+    # the CSV and JSON text of the cells named names, each rendered by the stdlib
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([_cell(value) for value in cells])
     return buffer.getvalue()[:-1], json.dumps(dict(zip(names, cells)))[1:-1]
+
+
+@cache
+def _class_text(lead: tuple, rest: tuple) -> tuple[tuple[str, str], tuple[str, str]]:
+    # ((csv lead, csv rest), (json lead, json rest)) of a record's class-decided runs,
+    # one lookup per record
+    return tuple(zip(_run_text(_LEAD_FIELDS, lead), _run_text(_REST_FIELDS, rest)))
 
 
 # A line is pre + a + mid + label + post: pre holds the cells before a, mid the cell b, and
@@ -172,16 +177,14 @@ def _class_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
 def _csv_parts(record: ClassRecord) -> tuple[str, str, str]:
     c = "" if record.c is None else record.c
     d = "" if record.d is None else record.d
-    lead = _class_text(_LEAD_FIELDS, record[_LEAD])[0]
-    rest = _class_text(_REST_FIELDS, record[_REST])[0]
+    lead, rest = _class_text(record[_LEAD], record[_REST])[0]
     return f"{record.q},{record.p},{record.r},", f",{record.b},", f",{lead},{record.fplus_disc},{c},{d},{rest}\n"
 
 
 def _json_parts(record: ClassRecord) -> tuple[str, str, str]:
     c = "null" if record.c is None else record.c
     d = "null" if record.d is None else record.d
-    lead = _class_text(_LEAD_FIELDS, record[_LEAD])[1]
-    rest = _class_text(_REST_FIELDS, record[_REST])[1]
+    lead, rest = _class_text(record[_LEAD], record[_REST])[1]
     return (
         f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": ',
         f', "b": {record.b}, "label": "',
@@ -195,9 +198,10 @@ def csv_row(record: ClassRecord) -> str:
     The cells q, p, r, a, b, label, fplus_disc, c and d are integers,
     None and a label of ASCII letters, digits, dots and an underscore,
     none of which needs quoting, so they are formatted directly.  The
-    cells the class decides are rendered by ``csv.writer`` once per
-    distinct value tuple, which decides their quoting.  The cache is
-    keyed by value, and 1 == True, so the bool columns must hold bool or
+    cells the class decides, the runs before and after (fplus_disc, c,
+    d), are rendered by ``csv.writer`` once per distinct pair of runs,
+    which decides their quoting.  The cache is keyed by that pair of
+    value tuples, and 1 == True, so the bool columns must hold bool or
     None only.
     """
     pre, mid, post = _csv_parts(record)
@@ -208,7 +212,7 @@ def to_json_line(record: ClassRecord) -> str:
     """``json.dumps(record._asdict())`` and a newline, built as :func:`csv_row` builds its line.
 
     The label's characters need no JSON escape, and the class-decided
-    cells are rendered by ``json.dumps`` once per distinct value tuple.
+    cells are rendered by ``json.dumps`` once per distinct pair of runs.
     """
     pre, mid, post = _json_parts(record)
     return f"{pre}{record.a}{mid}{record.label}{post}"

@@ -11,10 +11,8 @@ of 2 in K+ depends on d alone:
 
 This is a field-level criterion; the factorisation of f+ mod 2 only
 agrees with it when c is odd, which the test suite checks but the
-implementation never relies on.  Every odd square is 1 mod 8, so d mod 8
-is read from delta = 2^e*m with m odd, with no factorisation: 2 ramifies
-iff e is odd or m = 3 mod 4, and otherwise splits iff m = 1 mod 8 and is
-inert iff m = 5 mod 8.
+implementation never relies on.  The splitting is read from the d of the
+one squarefree decomposition of delta, the d a record already holds.
 
 Every other fact of a class is read from one table, ``_CLASS_ROWS``:
 one row per class key (the splitting of 2 in K+ for family A, the
@@ -37,7 +35,7 @@ from .classify import (
     _IRREDUCIBLE_FAMILIES,
     _require_family,
 )
-from .core import WeilQuartic, fplus_discriminant, is_square
+from .core import WeilQuartic, fplus_discriminant, squarefree_part
 
 
 class DegenerateDiscriminant(ValueError):
@@ -82,18 +80,21 @@ class TwoAdicData(NamedTuple):
     shape2_K: Shape2
 
 
-def _delta_split2(f: WeilQuartic) -> tuple[int, Split2]:
-    """delta = disc(f+) and the splitting of 2 in K+; raises DegenerateDiscriminant unless delta > 0 is not a square."""
-    delta = fplus_discriminant(f)
+def _split2_of(f: WeilQuartic, delta: int, d: int | None) -> Split2:
+    """The splitting of 2 in K+ for delta = disc(f+) = c^2 * d; raises DegenerateDiscriminant unless delta > 0 and d != 1."""
     if delta <= 0:
         raise DegenerateDiscriminant(f"discriminant {delta} of the real factor of {f} is not positive")
-    if is_square(delta):
+    if d == 1:
         raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
-    e = (delta & -delta).bit_length() - 1
-    m = delta >> e
-    if e % 2 or m % 4 == 3:
-        return delta, Split2.RAMIFIED
-    return delta, Split2.SPLIT if m % 8 == 1 else Split2.INERT
+    if d % 4 != 1:
+        return Split2.RAMIFIED
+    return Split2.SPLIT if d % 8 == 1 else Split2.INERT
+
+
+def _delta_split2(f: WeilQuartic) -> tuple[int, Split2]:
+    """delta = disc(f+) and the splitting of 2 in K+, from one squarefree decomposition of delta."""
+    delta = fplus_discriminant(f)
+    return delta, _split2_of(f, delta, squarefree_part(delta)[1] if delta > 0 else None)
 
 
 _SINGLE = ConjugationTag.SINGLE_SELF_CONJUGATE
@@ -125,13 +126,14 @@ def _class_row(kind: ClassKind, q: int, split2: Split2) -> tuple[Shape2, bool, s
 def two_adic_data(f: WeilQuartic, kind: ClassKind) -> TwoAdicData:
     """Bundle of the 2-adic invariants of an irreducible family member.
 
-    The 2-adic class of the discriminant delta of f+ gives the splitting
-    of 2 in K+, with no factorisation, and the class's ``_CLASS_ROWS``
-    row the shape of 2 in K.  An Outside or special kind raises WrongKind
+    The squarefree part d of the discriminant delta = c^2 * d of f+ gives
+    the splitting of 2 in K+, and the class's ``_CLASS_ROWS`` row the
+    shape of 2 in K.  An Outside or special kind raises WrongKind
     before the discriminant is read, a family B kind whose
     (pattern, q mod 2) has no row raises WrongKind after it.  K/K+ is
     ramified exactly for the family B pattern b = 2-2q, whose p > 2.
     Raises DegenerateDiscriminant unless delta is positive and not a square.
+    Accepts every member make_weil_quartic builds: delta <= 16q < 2^44.
     """
     _require_family(kind, "two_adic_data", _IRREDUCIBLE_FAMILIES)
     delta, split2 = _delta_split2(f)

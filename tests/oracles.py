@@ -3,8 +3,9 @@
 Everything here deliberately avoids the production code paths: a
 companion-matrix characteristic polynomial instead of the closed base
 change formulas, floating root moduli instead of integer inequalities,
-a division-only squarefree search instead of factorisation, and list
-based GF(2) arithmetic instead of bit masks.
+a division-only squarefree search instead of factorisation, the 2-adic
+class of a discriminant instead of its squarefree part, and list based
+GF(2) arithmetic instead of bit masks.
 """
 
 from __future__ import annotations
@@ -274,6 +275,25 @@ def trial_squarefree(n: int) -> tuple[int, int]:
             d = m // (c * c)
             return c, d if n > 0 else -d
     raise AssertionError("unreachable")
+
+
+def oracle_split2(delta: int) -> str:
+    """The splitting of 2 in Q(sqrt(delta)) for a positive non-square delta, from its 2-adic class.
+
+    Every odd square is 1 mod 8, so with delta = 2^e * m and m odd, d mod 8
+    of delta = c^2 * d is read without any factorisation: 2 ramifies iff e
+    is odd or m = 3 mod 4, and otherwise splits iff m = 1 mod 8 and is
+    inert iff m = 5 mod 8.
+    """
+    assert delta > 0 and isqrt(delta) ** 2 != delta
+    e = 0
+    m = delta
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    if e % 2 or m % 4 == 3:
+        return "Ramified"
+    return "Split" if m % 8 == 1 else "Inert"
 
 
 # ---------------------------------------------------------------------------

@@ -278,9 +278,10 @@ def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkeypatch, fmt):
-    # the class-decided text of 26,370 records is rendered once per distinct run of cell
-    # values, and their cells once per class key; every line is written through
-    # pair_lines, so the one patched here sees every record written
+    # the class-decided text of 26,370 records is rendered once per distinct pair of
+    # lead and rest runs, and their cells once per class key, so both memos hold one
+    # entry per class key; every line is written through pair_lines, so the one
+    # patched here sees every record written
     records._class_text.cache_clear()
     member_cells: dict = {}
     monkeypatch.setattr(records, "_MEMBER_CELLS", member_cells)
@@ -291,8 +292,8 @@ def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkey
     assert main(["enumerate", "--q-min", "2", "--q-max", "10000", "--format", fmt, "--output", target]) == 0
     capsys.readouterr()
     assert len(written) == 26370
-    runs = len({record[records._LEAD] for record in written}) + len({record[records._REST] for record in written})
-    assert records._class_text.cache_info().currsize == runs
+    runs = {(record[records._LEAD], record[records._REST]) for record in written}
+    assert records._class_text.cache_info().currsize == len(runs) == len(CLASS_KEY_FIRST_MEMBERS)
     assert set(member_cells) == set(CLASS_KEY_FIRST_MEMBERS)
 
 

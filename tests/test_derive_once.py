@@ -3,10 +3,13 @@
 The record's fields must equal what the single-function public calls
 give on their own, and one record of a family A or B member must make
 exactly one squarefree decomposition and at most one irreducibility
-test.  Per record only the head is worked out, with the 2-adic class of
-the discriminant for a family A or B member; the 2-adic data, the
+test once its class key is warm.  Per record only the head is worked
+out, the discriminant c^2 * d of f+ for every kind, with d deciding the
+splitting of 2 in K+ for a family A or B member; the 2-adic data, the
 genus-3 verdict and the other cells a class decides are worked out once
-per class key, and the per-record checks still run on a warm key.
+per class key, and the per-record checks still run on a warm key.  The
+splitting is checked against the 2-adic class of the discriminant, which
+no production path reads.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from weillab import (
 from weillab import records
 from weillab.classify import Family, classify
 
+from oracles import oracle_split2, trial_squarefree
 from strategies import CLASS_KEY_FIRST_MEMBERS, family_members, kind_of
 
 
@@ -86,6 +90,8 @@ def test_one_squarefree_part_and_irreducibility_test_per_record(monkeypatch, q, 
     f = make_weil_quartic(q, a, b)
     kind = classify(f)
     assert kind.family is family
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
+    build_record(f, kind)  # warms the class key, whatever ran before
     counts = _count_calls(monkeypatch, squarefree_part, is_irreducible_over_Q)
     build_record(f, kind)
     assert counts["squarefree_part"] == 1
@@ -94,6 +100,17 @@ def test_one_squarefree_part_and_irreducibility_test_per_record(monkeypatch, q, 
     build_record(f)  # classify runs the one irreducibility test
     assert counts["squarefree_part"] == 1
     assert counts["is_irreducible_over_Q"] == 1
+
+
+@pytest.mark.parametrize("q, a, b", [(8, 1, -7), (7, 0, -13)])
+def test_a_cold_class_key_decomposes_the_discriminant_three_times(monkeypatch, q, a, b):
+    # build_record once for the head, and two_adic_data and genus3_verdict once each
+    # for the cells of the key; the irreducibility test is read from the kind
+    f, kind = kind_of(q, a, b)
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
+    counts = _count_calls(monkeypatch, squarefree_part, is_irreducible_over_Q, two_adic_data, genus3_verdict)
+    build_record(f, kind)
+    assert counts == Counter(squarefree_part=3, two_adic_data=1, genus3_verdict=1)
 
 
 def test_outside_record_tests_irreducibility_once(monkeypatch):
@@ -143,11 +160,25 @@ def test_member_checks_run_on_a_warm_class_key(monkeypatch):
     monkeypatch.setattr(records, "_MEMBER_CELLS", {})
     warm = build_record(make_weil_quartic(19, 0, -19))
     assert (warm.class_kind, warm.split2_Kplus, warm.p % 2, warm.a) == ("PirrA", "Split", 1, 0)
-    # delta = 36 is 4 * 9, which the 2-adic class reads as Split: the same key as above
+    # delta = 36 = 6^2 has d = 1, and the check runs though a PirrA key is warm
     square = make_weil_quartic(3, 0, -3)
     assert fplus_discriminant(square) == 36
-    with pytest.raises(DegenerateDiscriminant):
+    with pytest.raises(DegenerateDiscriminant, match="square discriminant"):
         build_record(square, ClassKind(Family.PIRR_A))
+    # (t^2-9t+25)^2: delta = 0 has no squarefree part
+    double = make_weil_quartic(25, -18, 131)
+    assert fplus_discriminant(double) == 0
+    with pytest.raises(DegenerateDiscriminant, match="is not positive"):
+        build_record(double, ClassKind(Family.PIRR_A))
+
+
+def test_splitting_beyond_q_2_to_36_from_the_record_and_two_adic_data():
+    # delta = 16q - 4 = 2^41 - 4 = 2^2 * (2^39 - 1) lies above the old 2^40 ceiling
+    f, kind = kind_of(2**37, 0, 1 - 2**38)
+    assert (kind.family, kind.b_case) == (Family.PIRR_B, "b=1-2q")
+    record = build_record(f, kind)
+    assert (record.c, record.d) == (2, 2**39 - 1)
+    assert record.split2_Kplus == two_adic_data(f, kind).split2_Kplus.value == "Ramified"
 
 
 # family A members at q = 1 mod 8 with a = 2 mod 4, where v2(delta) is unbounded; with
@@ -166,16 +197,19 @@ _SPLIT_BY_D_MOD_8 = {1: Split2.SPLIT, 5: Split2.INERT}
 def test_verdict_is_one_value_per_two_adic_class_key():
     high_v2 = [kind_of(q, a, b) for q, a, b in HIGH_V2_MEMBERS]
     assert all(kind.family is Family.PIRR_A for _, kind in high_v2)
-    inert_rules = 0
+    inert_rules = checked = 0
     verdicts: dict[tuple, set] = {}
     for f, kind in [*family_members(512), *high_v2]:
         if not kind.is_irreducible_family:
             continue
         verdict = genus3_verdict(f, kind)
         data = two_adic_data(f, kind)
-        # the field-level criterion of the two_adic module: d mod 8 of delta = c^2 * d
-        d = squarefree_part(data.delta)[1]
+        # the field-level criterion, d mod 8 of delta = c^2 * d, with d found by division
+        # alone, and the 2-adic class of delta, which reads d mod 8 with no decomposition
+        d = trial_squarefree(data.delta)[1]
         assert data.split2_Kplus is _SPLIT_BY_D_MOD_8.get(d % 8, Split2.RAMIFIED), (f.q, f.a, f.b)
+        assert data.split2_Kplus.value == oracle_split2(data.delta), (f.q, f.a, f.b)
+        checked += 1
         if kind.family is Family.PIRR_A:
             inert = d % 8 == 5
             assert (verdict.rule == "PirrA-inert") == inert, (f.q, f.a, f.b)
@@ -184,4 +218,5 @@ def test_verdict_is_one_value_per_two_adic_class_key():
         key = (kind, data.split2_Kplus if kind.family is Family.PIRR_A else f.q % 2)
         verdicts.setdefault(key, set()).add(verdict)
     assert inert_rules > 0
+    assert checked == 796 + len(HIGH_V2_MEMBERS)  # 796 family A and B members with q <= 512
     assert all(len(equal) == 1 for equal in verdicts.values()), verdicts
