@@ -17,7 +17,23 @@ family B, the Weil-restriction classes (a = 0 and one of):
     b = -2q     with q = 2 or 3 (the two specials).
 
 Members of either family are irreducible over the rationals except for
-(t^2-2)^2 and (t^2-3)^2, which are split off as the two special kinds.
+(t^2-2)^2 and (t^2-3)^2, the two special kinds, and this follows from the
+coefficients alone, so no member is tested.  By
+:func:`~weillab.core.is_irreducible_over_Q`, f is reducible exactly when
+disc(f+) is a square or a = 0 and b = -2q - u^2, and the Weil region
+forces u = 0 there:
+
+    family A: disc(f+) = 12q - 3a^2 = 3(4q - a^2).  If it is s^2, then
+              3 | s, 4q - a^2 = 3t^2 and 4(q - a^2) = 3(t^2 - a^2), so
+              3 | -b; but every prime divisor of -b is 1 mod 3.  And
+              b = -2q would need a^2 = -q.
+    family B: disc(f+) = 8q - 4b is 4(4q - 1), 8(2q - 1) or 12q for the
+              first three patterns.  None is a square: 4q - 1 = 3 mod 4,
+              2 divides 8(2q - 1) to the power 3, and 3 divides 12q to
+              the power 1, or r + 1 at p = 3, where the pattern asks
+              q = 3^r to be a square.  The fourth pattern, b = -2q, is
+              the two specials.
+
 Everything else is reported as Outside with a short machine-readable
 reason.  The family B list, specials included, is ``_family_b_patterns``.
 """
@@ -32,7 +48,6 @@ from typing import NamedTuple
 from .core import (
     InternalInvariantError,
     WeilQuartic,
-    is_irreducible_over_Q,
     make_weil_quartic,
     require_prime_power,
     trial_limit,
@@ -142,9 +157,9 @@ def classify(f: WeilQuartic) -> ClassKind:
     """Place f in family A, family B, one of the two specials, or Outside.
 
     Outside classes also get their reason, from the first family A clause
-    they fail.  The two coefficient conditions are mutually exclusive; a
-    reducible match can only be (t^2-2)^2 or (t^2-3)^2.  Either guarantee
-    failing raises InternalInvariantError.
+    they fail.  The two coefficient conditions are mutually exclusive, or
+    InternalInvariantError is raised.  A member is irreducible unless
+    b = -2q, by the module's proof, so no irreducibility test is made.
     """
     b_case = _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
     if f.a * f.a - f.b != f.q:
@@ -161,14 +176,22 @@ def classify(f: WeilQuartic) -> ClassKind:
 
 
 def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKind:
-    # classify a member, given the outcomes of the family A and family B conditions
+    """The kind of a member, given the outcomes of the family A and family B conditions.
+
+    Exactly one condition holds, or InternalInvariantError is raised.
+    The member is (t^2-q)^2, a special, when b = -2q, a family B pattern
+    only at q = 2 and 3.  Every other member is irreducible, so none is
+    tested: it is reducible only if disc(f+) is a square, and the module
+    docstring shows that no family A or B member's is.  For family A,
+    disc(f+) = 3(4q - a^2) = s^2 would put 3 among the prime divisors of
+    -b, which are 1 mod 3; for family B, disc(f+) is 4(4q - 1), 8(2q - 1)
+    or 12q, none a square under its pattern's conditions.
+    """
     if in_a == (b_case is not None):
         raise InternalInvariantError(f"{'both' if in_a else 'neither of'} conditions (a) and (b) match {f}")
-    if is_irreducible_over_Q(f):
-        return _IRREDUCIBLE_KINDS[b_case]
-    if f.q in _SPECIALS and f.b == -2 * f.q:
+    if f.b == -2 * f.q:
         return ClassKind(_SPECIALS[f.q], b_case=b_case)
-    raise InternalInvariantError(f"reducible family member {f} is not one of the two specials")
+    return _IRREDUCIBLE_KINDS[b_case]
 
 
 def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
@@ -180,10 +203,14 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
 
     A product of primes 1 mod 3 is 1 mod 6, so only the a with
     a^2 = q - 1 (mod 6) are tested: one or two residues of a mod 6, and
-    none at q = 3^r.  The members with a >= 0 are classified; each
-    (-a, b) is the member (a, b) with a negated and the same kind, since
-    the Weil region, the family conditions and disc(f+) = 12q - 3a^2
-    depend on a only through a^2 and whether a = 0.
+    none at q = 3^r.  The a = 0 members are classified by their
+    patterns.  Each a > 0 member is family A, with no per-member call: it
+    is irreducible, since disc(f+) = 3(4q - a^2) = s^2 would give 3 | s
+    and 4(q - a^2) = 3((s/3)^2 - a^2), so 3 | -b, whose prime divisors
+    are 1 mod 3 (the module docstring).  Each (-a, b) is the member
+    (a, b) with a negated and the same kind, since the Weil region, the
+    family conditions and disc(f+) = 12q - 3a^2 depend on a only through
+    a^2 and whether a = 0.
 
     The a = 0 members are built by ``make_weil_quartic``.  A member with
     a > 0 needs no second prime-power lookup, since q = p^r was decided
@@ -217,7 +244,7 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
         failure = weil_validity_failure(q, a, f.b)
         if failure is not None:
             raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
-        members.append((f, _classify_matched(f, True, None)))
+        members.append((f, _IRREDUCIBLE_KINDS[None]))
     mirrors = [(WeilQuartic(q, p, r, -f.a, f.b), kind) for f, kind in reversed(members) if f.a]
     return mirrors + members
 

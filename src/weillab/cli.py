@@ -23,7 +23,6 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from itertools import compress
 from math import isqrt
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
@@ -34,6 +33,7 @@ from .core import (
     label_coefficients,
     make_weil_quartic,
     render_label,
+    _primes_in,
     _quote,
     _small_primes,
 )
@@ -130,29 +130,16 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 def prime_powers_in_range(lo: int, hi: int) -> list[int]:
     """Prime powers q with lo <= q <= hi, ascending; other q are skipped.
 
-    One sieve of [lo, hi] by the primes p <= isqrt(hi) leaves the primes
-    there: each composite n in it has a prime factor p with p^2 <= n,
-    and is crossed off from max(p^2, the first multiple of p >= lo).
-    The powers p^k, k >= 2, in the range have p <= isqrt(hi) too.
+    The primes come from one sieve of the range (``core._primes_in``).
+    The powers p^k, k >= 2, in the range have p <= isqrt(hi).
     """
-    lo = max(2, lo)
-    if lo > hi:
-        return []
-    primes = _small_primes(max(2, isqrt(hi)))
-    is_prime = bytearray(b"\x01") * (hi - lo + 1)
-    for p in primes:
-        start = max(p * p, -(-lo // p) * p)
-        if start <= hi:
-            is_prime[start - lo :: p] = bytes((hi - start) // p + 1)
-    found = list(compress(range(lo, hi + 1), is_prime))
-    for p in primes:
-        power = p * p
-        while power <= hi:
+    found = _primes_in(lo, hi)
+    for p in _small_primes(isqrt(max(0, hi))):
+        power = p
+        while (power := power * p) <= hi:
             if power >= lo:
                 found.append(power)
-            power *= p
-    found.sort()
-    return found
+    return sorted(found)
 
 
 def _summary_line(q_min: int, q_max: int, kinds: Counter, genus3: Counter) -> str:
@@ -191,11 +178,16 @@ def _open_output(path: str) -> AbstractContextManager[io.TextIOBase]:
     A regular file, or a path where none exists yet, is written through
     ``_replace_on_success``.  Anything else (a device such as /dev/null, a
     pipe) has no old bytes to keep and must not be replaced, so it is
-    opened as it is.
+    opened as it is.  A missing path whose last part names no file ("",
+    "dir/", "dir/.") cannot be created: an exclusive create of it raises
+    the error ``open()`` raises, before ``os.path.realpath`` could turn it
+    into a name that can be.
     """
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
+        if os.path.basename(path) in ("", ".", ".."):
+            os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)  # always raises, naming no file
         return _replace_on_success(path, None)
     if not stat.S_ISREG(mode):
         return open(path, "w", encoding="utf-8", newline="")
@@ -211,12 +203,16 @@ def _replace_on_success(path: str, mode: int | None) -> Iterator[io.TextIOBase]:
     the file it replaces) or, for a new file, 0o666 less the umask, as
     ``open(path, "w")`` gives.  ``os.replace`` moves it into place on
     success; any exception, KeyboardInterrupt included, deletes it and
-    leaves ``path`` as it was.
+    leaves ``path`` as it was.  If the temporary file cannot be made, its
+    error names ``path``, as ``open()`` names the path it is given.
     """
     target = os.path.realpath(path)  # through a symbolic link, as open() writes, not over it
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as sink:
             if mode is not None:
@@ -240,7 +236,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     # each q's records are written and dropped before the next q; only the
     # table format holds them all, for its column widths
     table: list[ClassRecord] = []
-    with _open_output(args.output) if args.output else nullcontext(out) as sink:
+    with nullcontext(out) if args.output is None else _open_output(args.output) as sink:
         if args.format == "csv":
             sink.write(",".join(FIELD_NAMES) + "\n")
         # records_for_q holds the a >= 0 members of each pair (+-a, b), whose two records
@@ -261,7 +257,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
             _render_table(table, sink)
 
     summary = _summary_line(q_min, q_max, kinds, genus3)
-    if args.format == "table" and not args.output:
+    if args.format == "table" and args.output is None:
         out.write(summary + "\n")
     else:
         err.write(summary + "\n")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -77,16 +78,26 @@ def is_square(n: int) -> bool:
 # factorisation helpers (desk scale, trial division)
 
 
+def _primes_in(lo: int, hi: int) -> list[int]:
+    """The primes p with lo <= p <= hi, ascending, by one sieve of [max(2, lo), hi].
+
+    Each composite n there has a prime factor p with p^2 <= n <= hi, so
+    the primes p <= isqrt(hi) cross off every composite, each p from
+    max(p^2, the first multiple of p >= lo); p^2 keeps p itself.
+    """
+    lo = max(2, lo)
+    is_prime = bytearray(b"\x01") * (hi - lo + 1)
+    # below 4 no composite is crossed off, and the recursion through _small_primes ends
+    for p in _small_primes(isqrt(hi)) if hi >= 4 else ():
+        start = max(p * p, -(-lo // p) * p)
+        is_prime[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), is_prime))
+
+
 @lru_cache(maxsize=None)
 def _small_primes(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, by sieve; limit >= 2."""
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    """All primes <= limit."""
+    return tuple(_primes_in(2, limit))
 
 
 def trial_limit(n: int) -> int:

@@ -16,7 +16,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
-from .core import WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
+from .core import InternalInvariantError, WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
 from .two_adic import _split2_of, two_adic_data
 from .verdict import curve_shape_constraints, genus3_verdict
 
@@ -63,8 +63,9 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     and d check the member and d mod 8 splits 2 in K+.  The other cells
     (2-adic data, :func:`genus3_verdict`, p-rank, curve shape) depend
     only on the kind, that splitting, whether p = 2 and whether a = 0,
-    so they are derived once per such key.  The irreducible column is read from
-    ``kind``: only an Outside class is tested here.
+    so they are derived once per such key.  The irreducible column is
+    tested once per class key, and checked against the kind; an Outside
+    class is tested per record.
     """
     if kind is None:
         kind = classify(f)
@@ -84,7 +85,11 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
 
 
 def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
-    # the cells of a family member's record before and after (fplus_disc, c, d)
+    # the cells of a family member's record before and after (fplus_disc, c, d); the kind
+    # gives the irreducible cell, as classify proves from the coefficients, and one test
+    # per class key checks that proof
+    if is_irreducible_over_Q(f) != kind.is_irreducible_family:
+        raise InternalInvariantError(f"the irreducibility test of {f} disagrees with its kind {kind.family.value}")
     verdict = genus3_verdict(f, kind)
     notes = [f"witness={verdict.witness}"] if verdict.witness else []
     if verdict.note:

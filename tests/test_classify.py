@@ -113,6 +113,22 @@ def test_classify_agrees_with_enumerate_classes_below_10_6(qab):
     assert ((f, kind) in enumerate_classes(f.q)) == (kind.family is not Family.OUTSIDE)
 
 
+@settings(max_examples=300, deadline=None)
+@given(family_pattern_pairs())
+@example((2, 0, -4))
+@example((3, 0, -6))
+@example((2401, 42, -637))
+@example((2401, -42, -637))
+def test_a_members_kind_says_whether_it_is_irreducible_below_10_6(qab):
+    # classify makes no irreducibility test: the kind of a member comes from its
+    # coefficients, special exactly at b = -2q and irreducible otherwise
+    f = make_weil_quartic(*qab)
+    kind = classify(f)
+    if kind.family is not Family.OUTSIDE:
+        assert is_irreducible_over_Q(f) == kind.is_irreducible_family
+        assert (kind.family in (Family.SPECIAL_Q2, Family.SPECIAL_Q3)) == (f.b == -2 * f.q)
+
+
 def test_classify_matched_rejects_neither_and_both_conditions():
     from weillab.classify import _classify_matched
 

@@ -234,25 +234,41 @@ def test_enumerate_output_to_a_pipe_streams_into_it(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "kind",
-    ["directory", pytest.param("read-only", marks=pytest.mark.skipif(os.geteuid() == 0, reason="root writes any file"))],
+    [
+        "directory",
+        "empty-path",
+        "missing-directory-with-a-slash",
+        "missing-parent-directory",
+        pytest.param("read-only", marks=pytest.mark.skipif(os.geteuid() == 0, reason="root writes any file")),
+    ],
 )
 def test_enumerate_refuses_an_unwritable_output_before_any_work(tmp_path, capsys, monkeypatch, kind):
-    # what open(path, "w") refuses exits 1 at once, and a write-protected file is not replaced
+    # what open(path, "w") refuses exits 1 at once with the error naming the path as given,
+    # leaves no file behind, and a write-protected file is not replaced
     def refuse(q):
         raise AssertionError(f"q={q} was enumerated before --output was checked")
 
     monkeypatch.setattr("weillab.cli.records_for_q", refuse)
+    monkeypatch.chdir(tmp_path)  # where a path made from "" would land
     target = tmp_path / "classes.csv"
+    path = {
+        "empty-path": "",
+        "missing-directory-with-a-slash": str(tmp_path / "missing") + os.sep,
+        "missing-parent-directory": str(tmp_path / "missing" / "classes.csv"),
+    }.get(kind, str(target))
     if kind == "directory":
         target.mkdir()
-    else:
+    elif kind == "read-only":
         target.write_bytes(b"old bytes\n")
         target.chmod(0o444)
-    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--format", "csv", "--output", str(target))
+    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--format", "csv", "--output", path)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ")
-    assert list(tmp_path.iterdir()) == [target]
-    assert target.is_dir() if kind == "directory" else target.read_bytes() == b"old bytes\n"
+    assert err.startswith("error: ") and err.endswith(f": {path!r}\n"), err  # open()'s message, not a temporary name
+    assert list(tmp_path.iterdir()) == ([target] if kind in ("directory", "read-only") else [])
+    if kind == "directory":
+        assert target.is_dir()
+    elif kind == "read-only":
+        assert target.read_bytes() == b"old bytes\n"
 
 
 def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):

@@ -2,14 +2,14 @@
 
 The record's fields must equal what the single-function public calls
 give on their own, and one record of a family A or B member must make
-exactly one squarefree decomposition and at most one irreducibility
-test once its class key is warm.  Per record only the head is worked
-out, the discriminant c^2 * d of f+ for every kind, with d deciding the
-splitting of 2 in K+ for a family A or B member; the 2-adic data, the
-genus-3 verdict and the other cells a class decides are worked out once
-per class key, and the per-record checks still run on a warm key.  The
-splitting is checked against the 2-adic class of the discriminant, which
-no production path reads.
+exactly one squarefree decomposition and no irreducibility test once
+its class key is warm.  Per record only the head is worked out, the
+discriminant c^2 * d of f+ for every kind, with d deciding the splitting
+of 2 in K+ for a family A or B member; the 2-adic data, the genus-3
+verdict, the irreducibility test and the other cells a class decides
+are worked out once per class key, and the per-record checks still run
+on a warm key.  The splitting is checked against the 2-adic class of
+the discriminant, which no production path reads.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import pytest
 from weillab import (
     ClassKind,
     DegenerateDiscriminant,
+    InternalInvariantError,
     Split2,
     build_record,
     curve_shape_constraints,
@@ -97,20 +98,36 @@ def test_one_squarefree_part_and_irreducibility_test_per_record(monkeypatch, q, 
     assert counts["squarefree_part"] == 1
     assert counts["is_irreducible_over_Q"] == 0
     counts.clear()
-    build_record(f)  # classify runs the one irreducibility test
+    build_record(f)  # classify reads irreducibility from the coefficients
     assert counts["squarefree_part"] == 1
-    assert counts["is_irreducible_over_Q"] == 1
+    assert counts["is_irreducible_over_Q"] == 0
 
 
 @pytest.mark.parametrize("q, a, b", [(8, 1, -7), (7, 0, -13)])
 def test_a_cold_class_key_decomposes_the_discriminant_three_times(monkeypatch, q, a, b):
     # build_record once for the head, and two_adic_data and genus3_verdict once each
-    # for the cells of the key; the irreducibility test is read from the kind
+    # for the cells of the key, which also test irreducibility once against the kind
     f, kind = kind_of(q, a, b)
     monkeypatch.setattr(records, "_MEMBER_CELLS", {})
     counts = _count_calls(monkeypatch, squarefree_part, is_irreducible_over_Q, two_adic_data, genus3_verdict)
     build_record(f, kind)
-    assert counts == Counter(squarefree_part=3, two_adic_data=1, genus3_verdict=1)
+    assert counts == Counter(squarefree_part=3, two_adic_data=1, genus3_verdict=1, is_irreducible_over_Q=1)
+
+
+def test_range_mode_tests_irreducibility_once_per_class_key(monkeypatch):
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
+    counts = _count_calls(monkeypatch, is_irreducible_over_Q)
+    records.records_for_q(2401)
+    records.records_for_q(999983)
+    assert counts["is_irreducible_over_Q"] == len(records._MEMBER_CELLS) == 6
+
+
+def test_a_kind_its_irreducibility_test_contradicts_fails_at_a_cold_class_key(monkeypatch):
+    monkeypatch.setattr(records, "_MEMBER_CELLS", {})
+    f = make_weil_quartic(7, 0, -13)  # irreducible, given a special's kind
+    with pytest.raises(InternalInvariantError, match="irreducibility test"):
+        build_record(f, ClassKind(Family.SPECIAL_Q2, "(q,b)=(2,-4)"))
+    assert records._MEMBER_CELLS == {}
 
 
 def test_outside_record_tests_irreducibility_once(monkeypatch):
