@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end: it parses arguments and hands them to the library.
 
 Subcommands:
     classify   one class from coefficients or from a label
@@ -8,8 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
 A reader that goes away (a closed pipe) stops the run with exit 0 and no
-message.
-Every subcommand refuses q above the safe bound SAFE_BOUND = 10^6.
+message.  An error is one line of printable ASCII under 200 bytes,
+however long the input it quotes.
+
+``enumerate`` refuses q above the safe bound SAFE_BOUND = 10^6.  The
+single-class subcommands take every q the library factorises, q < 2^40:
+a larger q exits 1 before any sieve is built (``core.trial_limit``).
 """
 
 from __future__ import annotations
@@ -27,24 +31,10 @@ from math import isqrt
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
-from .core import (
-    InternalInvariantError,
-    WeilQuartic,
-    label_coefficients,
-    make_weil_quartic,
-    render_label,
-    _primes_in,
-    _quote,
-    _small_primes,
-)
-from .records import FIELD_NAMES, ClassRecord, build_record, pair_lines, records_for_q, to_json_line, with_mirrors
+from .core import InternalInvariantError, label_coefficients, make_weil_quartic, render_label, _primes_in, _small_primes
+from .records import FIELD_NAMES, ClassRecord, build_record, pair_lines, records_for_q, table_lines, to_json_line, with_mirrors
 
 SAFE_BOUND = 10**6
-
-_TABLE_COLUMNS = (
-    "q", "a", "b", "label", "class_kind", "b_case", "ordinary",
-    "d", "split2_Kplus", "deg4_polarisation", "genus3_exists", "rule",
-)
 # bounds --family -> (calculator, the flags it takes after --q, in argument order); nonpp may omit --b
 _BOUNDS = {
     "general": (genus_bounds_on_surface, ("a", "pa")),
@@ -54,10 +44,30 @@ _BOUNDS = {
 }
 
 
+# every ASCII control character -> its escape; the other non-ASCII ones are escaped on encoding
+_CONTROL_ESCAPES = {code: f"\\x{code:02x}" for code in (*range(32), 127)}
+# the characters an error message keeps, so that its line stays under 200 bytes
+_ERROR_LIMIT = 140
+
+
+def _error_line(prefix: str, message: str) -> str:
+    """``prefix: message`` and a newline, one line of printable ASCII under 200 bytes.
+
+    Control and non-ASCII characters are written as backslash escapes, so
+    no input ends the line early or takes more than a byte per character.
+    An escaped message longer than _ERROR_LIMIT characters keeps its start
+    and is followed by "... (N characters)", N its whole length.
+    """
+    text = message.translate(_CONTROL_ESCAPES).encode("ascii", "backslashreplace").decode("ascii")
+    if len(text) > _ERROR_LIMIT:
+        text = f"{text[:_ERROR_LIMIT]}... ({len(text)} characters)"
+    return f"{prefix}: {text}\n"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract wants 1
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(1, f"error: {message}\n")
+        self.exit(1, _error_line("error", message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,17 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_q(q: int) -> None:
-    if q > SAFE_BOUND:
-        raise ValueError(f"q={_quote(str(q))} exceeds the safe bound {SAFE_BOUND}")
-
-
-def _bounded_quartic(q: int, a: int, b: int) -> WeilQuartic:
-    # guard q before make_weil_quartic factorises it
-    _check_q(q)
-    return make_weil_quartic(q, a, b)
-
-
 def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     by_coeffs = args.q is not None or args.a is not None or args.b is not None
     by_label = args.label is not None
@@ -122,7 +121,7 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
         if args.q is None or args.a is None or args.b is None:
             raise ValueError("coefficient form needs all of --q, --a and --b")
         q, a, b = args.q, args.a, args.b
-    record = build_record(_bounded_quartic(q, a, b))
+    record = build_record(make_weil_quartic(q, a, b))
     out.write(to_json_line(record))
     return 0
 
@@ -148,28 +147,6 @@ def _summary_line(q_min: int, q_max: int, kinds: Counter, genus3: Counter) -> st
         f"summary q={q_min}..{q_max}: records={sum(kinds.values())} {kind_part} "
         f"genus3_yes={genus3[True]} genus3_no={genus3[False]}"
     )
-
-
-def _render_table(records: list[ClassRecord], out: io.TextIOBase) -> None:
-    rows = [[_table_cell(record, name) for name in _TABLE_COLUMNS] for record in records]
-    widths = [
-        max(len(name), *(len(row[i]) for row in rows)) if rows else len(name)
-        for i, name in enumerate(_TABLE_COLUMNS)
-    ]
-    out.write("  ".join(name.ljust(widths[i]) for i, name in enumerate(_TABLE_COLUMNS)).rstrip() + "\n")
-    for row in rows:
-        out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n")
-
-
-def _table_cell(record: ClassRecord, name: str) -> str:
-    value = getattr(record, name)
-    if value is None:
-        return "-"
-    if value is True:
-        return "yes"
-    if value is False:
-        return "no"
-    return str(value)
 
 
 def _open_output(path: str) -> AbstractContextManager[io.TextIOBase]:
@@ -228,7 +205,8 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     q_min, q_max = args.q_min, args.q_max
     if q_min < 2 or q_min > q_max:
         raise ValueError(f"need 2 <= q-min <= q-max, got {q_min}..{q_max}")
-    _check_q(q_max)
+    if q_max > SAFE_BOUND:
+        raise ValueError(f"q='{q_max}' exceeds the safe bound {SAFE_BOUND}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     kinds: Counter = Counter()
@@ -254,7 +232,7 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
                 kinds[record.class_kind] += weight
                 genus3[record.genus3_exists] += weight
         if args.format == "table":
-            _render_table(table, sink)
+            sink.writelines(table_lines(table))
 
     summary = _summary_line(q_min, q_max, kinds, genus3)
     if args.format == "table" and args.output is None:
@@ -265,7 +243,6 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
 
 
 def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    _check_q(args.q)
     calculator, takes = _BOUNDS[args.family]
     given = tuple(flag for flag in ("a", "pa", "g", "b") if getattr(args, flag) is not None)
     if given != takes and (args.family, given) != ("nonpp", ()):
@@ -290,14 +267,14 @@ def _run_label(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     if args.encode is not None:
         parts = args.encode.split(",")
         if len(parts) != 3:
-            raise ValueError(f"--encode expects q,a,b, got {_quote(args.encode)}")
+            raise ValueError(f"--encode expects q,a,b, got {args.encode!r}")
         try:
             q, a, b = (int(part) for part in parts)
         except ValueError:
-            raise ValueError(f"--encode expects three integers, got {_quote(args.encode)}")
+            raise ValueError(f"--encode expects three integers, got {args.encode!r}")
     else:
         q, a, b = label_coefficients(args.decode)
-    f = _bounded_quartic(q, a, b)
+    f = make_weil_quartic(q, a, b)
     out.write(render_label(f) + "\n" if args.encode is not None else f"q={f.q} a={f.a} b={f.b}\n")
     return 0
 
@@ -321,10 +298,10 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 0
     except (ValueError, OSError) as exc:
-        err.write(f"error: {exc}\n")
+        err.write(_error_line("error", str(exc)))
         return 1
     except (InternalInvariantError, AssertionError) as exc:
-        err.write(f"internal error: {exc}\n")
+        err.write(_error_line("internal error", str(exc)))
         return 2
 
 

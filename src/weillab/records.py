@@ -1,10 +1,10 @@
-"""Flat per-class records for table, CSV and JSON emission.
+"""Flat per-class records and their table, CSV and JSON text.
 
 A ClassRecord carries primitives only (ints, bools, strings, None) so
 that a record serialises losslessly to a CSV row and to a JSON object
 with identical field names.  Fields that do not apply to a kind (for
 example the 2-adic data of an Outside class) are None, rendered as an
-empty CSV cell and a JSON null.
+empty CSV cell, a JSON null and a "-" in the table.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from functools import cache
 from typing import NamedTuple
 
@@ -142,13 +143,14 @@ def _mirror_label(label: str) -> str:
     return f"{head}.a{codes}"
 
 
-def _cell(value: object) -> str:
+def _cell(value: object, none: str = "", true: str = "true", false: str = "false") -> str:
+    # a CSV cell by default; `is` tests, since 1 == True
     if value is None:
-        return ""
+        return none
     if value is True:
-        return "true"
+        return true
     if value is False:
-        return "false"
+        return false
     return str(value)
 
 
@@ -239,3 +241,24 @@ def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
     lines += [single(record) for record in records if not record.a]
     lines += [f"{pre}{a}{mid}{label}{post}" for a, label, pre, mid, post in pairs]
     return lines
+
+
+_TABLE_COLUMNS = (
+    "q", "a", "b", "label", "class_kind", "b_case", "ordinary",
+    "d", "split2_Kplus", "deg4_polarisation", "genus3_exists", "rule",
+)
+
+
+def table_lines(records: list[ClassRecord]) -> Iterator[str]:
+    """The aligned table of ``records``: a header line, then one line per record.
+
+    Each column is as wide as its widest cell, columns are two spaces
+    apart and trailing spaces are cut; None, True and False read "-",
+    "yes" and "no".  The lines are yielded one at a time, so that no
+    text of the whole table is held beside its cells.
+    """
+    rows = [_TABLE_COLUMNS]
+    rows += ([_cell(getattr(record, name), "-", "yes", "no") for name in _TABLE_COLUMNS] for record in records)
+    widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
+    for row in rows:
+        yield "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"

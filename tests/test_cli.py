@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,14 +13,15 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from weillab import cli, records
-from weillab.cli import main, main_entry, prime_powers_in_range
+from weillab import Family, Split2, build_record, classify, cli, make_weil_quartic, records, render_label
+from weillab.cli import SAFE_BOUND, main, main_entry, prime_powers_in_range
 from weillab.core import InternalInvariantError, prime_power_decomposition
 from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, with_mirrors
 
+from oracles import trial_squarefree
 from strategies import CLASS_KEY_FIRST_MEMBERS
 
 
@@ -27,6 +29,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_short_error_line(code, out, err):
+    # exit 1, nothing on stdout, and one printable line under 200 bytes on stderr
+    assert (code, out) == (1, ""), err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n") and err[:-1].isprintable(), err
+    assert len(err.encode()) < 200, err
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +138,44 @@ def test_enumerate_skips_non_prime_powers(capsys):
     assert qs == {"5", "7"}
 
 
+_TABLE_Q_2_TO_3 = """\
+q  a   b   label      class_kind  b_case  ordinary  d   split2_Kplus  deg4_polarisation  genus3_exists  rule
+2  -1  -1  2.2.ab_ab  PirrA       -       yes       21  Inert         no                 no             PirrA-inert
+2  0   -4  2.2.a_ae   SpecialQ2   -       -         2   -             -                  no             Special-Q2
+2  0   -3  2.2.a_ad   PirrB       b=1-2q  yes       7   Ramified      yes                yes            PirrB-ordinary-coeff
+2  0   -2  2.2.a_ac   PirrB       b=-q    no        6   Ramified      no                 no             PirrB-supersingular-parity
+2  1   -1  2.2.b_ab   PirrA       -       yes       21  Inert         no                 no             PirrA-inert
+3  0   -6  2.3.a_ag   SpecialQ3   -       -         3   -             -                  yes            Special-Q3
+3  0   -5  2.3.a_af   PirrB       b=1-2q  yes       11  Ramified      no                 no             PirrB-ordinary-coeff
+3  0   -4  2.3.a_ae   PirrB       b=2-2q  yes       10  Ramified      yes                yes            PirrB-ordinary-coeff
+"""
+_SUMMARY_Q_2_TO_3 = "summary q=2..3: records=8 PirrA=2 PirrB=4 SpecialQ2=1 SpecialQ3=1 genus3_yes=3 genus3_no=5\n"
+
+
 def test_enumerate_table_format(capsys):
-    code, out, _ = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3")
-    assert code == 0
-    assert out.splitlines()[0].startswith("q")
-    assert "summary" in out.splitlines()[-1]
+    assert run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3") == (0, _TABLE_Q_2_TO_3 + _SUMMARY_Q_2_TO_3, "")
+
+
+def test_enumerate_table_to_an_output_file_leaves_the_summary_on_stderr(tmp_path, capsys):
+    target = tmp_path / "classes.txt"
+    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "3", "--output", str(target))
+    assert (code, out, err) == (0, "", _SUMMARY_Q_2_TO_3)
+    assert target.read_text() == _TABLE_Q_2_TO_3
+
+
+@pytest.mark.parametrize(
+    ("flags", "digest"),
+    [
+        ((), "435332349199b0a65ee4f8c0c6f432a3343d4114cbdf3ae4c74d9f42d712447b"),
+        (("--only-no-genus3",), "728a2b7afbe6f7d04c80c2e5a43fac25fc66939269c08eae44454f0b7dd31962"),
+    ],
+    ids=["all", "only-no-genus3"],
+)
+def test_enumerate_table_bytes_to_q_1000(capsys, flags, digest):
+    # stdout, summary line included
+    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "1000", "--format", "table", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_output_file(tmp_path, capsys):
@@ -478,8 +521,8 @@ _OVER_LONG_LABELS = {
     "code-of-100000-letters": ("2.7.b" + "z" * 99999 + "_a", "error: label"),
     "q-of-5000-digits": ("2." + "1" * 5000 + ".a_a", "error: label"),
     "no-form": ("x" * 100000, "error: label"),
-    # int() converts these 4,000 digits, so the safe-bound check quotes the q
-    "q-of-4000-digits": ("2." + "1" * 4000 + ".a_a", "error: q="),
+    # int() converts these 4,000 digits, so the library's ceiling q < 2^40 refuses the q
+    "q-of-4000-digits": ("2." + "1" * 4000 + ".a_a", "error: factorisation expects 1 <= n < 2^40"),
 }
 _OVER_LONG_CASES = {
     f"{command}-{name}": (command, text, start)
@@ -492,40 +535,180 @@ _OVER_LONG_CASES["label --encode-100000-digits"] = ("label --encode", "1" * 1000
 @pytest.mark.parametrize(("command", "text", "start"), list(_OVER_LONG_CASES.values()), ids=list(_OVER_LONG_CASES))
 def test_over_long_label_error_is_one_short_line(capsys, command, text, start):
     code, out, err = run_cli(capsys, *command.split(), text)
-    assert code == 1
-    assert out == ""
+    assert_one_short_error_line(code, out, err)
     assert err.startswith(start)
-    assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
-BIG_Q = 10**39 + 7  # 40 digits: far past the safe bound, and beyond factorising by trial division
+BIG_Q = 10**39 + 7  # 40 digits: far beyond factorising by trial division
+
+# a single-class query -> its argv at q; each goes through trial_limit
+_SINGLE_CLASS_ARGV = {
+    "classify-label": "classify --label 2.{q}.a_a",
+    "label-decode": "label --decode 2.{q}.a_a",
+    "label-encode": "label --encode {q},0,0",
+    "classify-q": "classify --q {q} --a 0 --b 0",
+    "bounds": "bounds --q {q} --family wres",
+}
+_AT_THE_CEILING = {
+    **{name: argv.format(q=BIG_Q) for name, argv in _SINGLE_CLASS_ARGV.items()},
+    **{f"{name}-2^40": argv.format(q=2**40) for name, argv in _SINGLE_CLASS_ARGV.items()},
+}
+
+
+@pytest.mark.parametrize("argv", list(_AT_THE_CEILING.values()), ids=list(_AT_THE_CEILING))
+def test_safe_bound_is_checked_before_q_is_factorised(capsys, monkeypatch, argv):
+    # the single-class bound is the library's, q < 2^40; a sieve built first would exit 2 here, not 1
+    def refuse(limit):
+        raise AssertionError(f"a sieve up to {limit} was built")
+
+    monkeypatch.setattr("weillab.core._small_primes", refuse)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert_one_short_error_line(code, out, err)
+    assert err.startswith("error: factorisation expects 1 <= n < 2^40, got ")
+
+
+def test_enumerate_safe_bound_is_checked_before_any_q_is_listed(capsys, monkeypatch):
+    def refuse(lo, hi):
+        raise AssertionError(f"the prime powers of {lo}..{hi} were listed before the safe-bound check")
+
+    monkeypatch.setattr("weillab.cli.prime_powers_in_range", refuse)
+    code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", str(SAFE_BOUND + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: q='{SAFE_BOUND + 1}' exceeds the safe bound {SAFE_BOUND}\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "expected"),
     [
-        ["classify", "--label", f"2.{BIG_Q}.a_a"],
-        ["label", "--decode", f"2.{BIG_Q}.a_a"],
-        ["label", "--encode", f"{BIG_Q},0,0"],
-        ["classify", "--q", str(BIG_Q), "--a", "0", "--b", "0"],
-        ["classify", "--q", "1000003", "--a", "0", "--b", "0"],
-        ["classify", "--label", "2.1000003.a_a"],
-        ["label", "--decode", "2.1000003.a_a"],
+        ("classify --q 1000003 --a 0 --b 0", '"class_kind": "Outside"'),
+        ("classify --label 2.1000003.a_a", '"class_kind": "Outside"'),
+        ("label --decode 2.1000003.a_a", "q=1000003 a=0 b=0\n"),
     ],
-    ids=[
-        "classify-label", "label-decode", "label-encode", "classify-q",
-        "classify-q-1000003", "classify-label-1000003", "label-decode-1000003",
-    ],
+    ids=["classify-q-1000003", "classify-label-1000003", "label-decode-1000003"],
 )
-def test_safe_bound_is_checked_before_q_is_factorised(capsys, monkeypatch, argv):
-    # a guard that ran after make_weil_quartic would exit 2 here, not 1
-    def refuse(q):
-        raise AssertionError(f"q={q} was factorised before the safe-bound check")
+def test_single_class_queries_take_q_above_the_safe_bound(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert expected in out
 
-    monkeypatch.setattr("weillab.core.prime_power_decomposition", refuse)
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert "safe bound" in err
+
+# the a = 0 family patterns at prime powers from 1000003 to 1000003^2 < 2^40, with
+# 549755813881 the largest prime below 2^39.  Their records meet 7 of the 14 class keys;
+# the oracle's descending division takes about isqrt(|delta|) steps, so it checks d
+# where that is at most 10^6
+_ABOVE_THE_SAFE_BOUND = (2**39, 3**24, 5**17, 7**14, 11**10, 11**11, 13**10, 1000003, 1000003**2, 549755813881)
+
+
+def test_single_class_records_above_the_safe_bound_meet_known_class_keys():
+    built = []
+    for q in _ABOVE_THE_SAFE_BOUND:
+        for b in (1 - 2 * q, 2 - 2 * q, -q, -2 * q):
+            f = make_weil_quartic(q, 0, b)
+            kind = classify(f)
+            if kind.family is not Family.OUTSIDE:
+                built.append((kind, build_record(f, kind)))
+    assert len(built) == 27
+    for kind, record in built:
+        split2 = None if record.split2_Kplus is None else Split2(record.split2_Kplus)
+        assert (kind, split2, record.p == 2, record.a == 0) in CLASS_KEY_FIRST_MEMBERS, record
+        if record.fplus_disc <= 10**12:
+            assert (record.c, record.d) == trial_squarefree(record.fplus_disc), record
+
+
+def test_classify_label_of_a_prime_near_2_39(capsys):
+    code, out, err = run_cli(capsys, "classify", "--label", "2.549755813881.a_acqlqjyrkb")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["q"], record["a"], record["b"]) == (549755813881, 0, -549755813881)
+    assert (record["class_kind"], record["genus3_exists"]) == ("PirrA", True)
+
+
+# ---------------------------------------------------------------------------
+# error lines
+
+
+_DIGITS_300 = "1" * 300
+_OVER_LONG_ARGV = {
+    "classify-q": ["classify", "--q", "-" + _DIGITS_300, "--a", "0", "--b", "0"],
+    "classify-a": ["classify", "--q", "7", "--a", "-" + _DIGITS_300, "--b", "0"],
+    "classify-b": ["classify", "--q", "7", "--a", "0", "--b", "-" + _DIGITS_300],
+    "bounds-nonpp-b": ["bounds", "--q", "11", "--family", "nonpp", "--b", "-" + _DIGITS_300],
+    "bounds-general-a": ["bounds", "--q", "11", "--family", "general", "--a", "-" + _DIGITS_300, "--pa", "3"],
+    "bounds-serre-g": ["bounds", "--q", "11", "--family", "serre", "--g", "-" + _DIGITS_300],
+    "enumerate-q-min": ["enumerate", "--q-min", "-" + _DIGITS_300, "--q-max", "3"],
+    "enumerate-jobs": ["enumerate", "--q-min", "2", "--q-max", "3", "--jobs", "-" + _DIGITS_300],
+    "q-of-5000-digits": ["classify", "--q", "1" * 5000, "--a", "0", "--b", "0"],
+    "q-of-5000-unicode-digits": ["classify", "--q", "\u0663" * 5000, "--a", "0", "--b", "0"],
+    "family-of-5000-characters": ["bounds", "--q", "11", "--family", "bogus" + "x" * 4995],
+    "format-of-5000-characters": ["enumerate", "--q-min", "2", "--q-max", "3", "--format", "x" * 5000],
+    "unrecognised-argument-with-line-breaks": ["label", "--decode", "2.2.a_ab", "x\ny\r\u2028z\x1b[2J"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVER_LONG_ARGV.values()), ids=list(_OVER_LONG_ARGV))
+def test_error_is_one_short_line(capsys, argv):
+    assert_one_short_error_line(*run_cli(capsys, *argv))
+
+
+# the README's invocations, with enumerate ranges at most 64 wide and --output relative
+_README_ARGV = [
+    "classify --q 7 --a 0 --b -12",
+    "classify --label 2.2.a_ab",
+    "enumerate --q-min 2 --q-max 3",
+    "enumerate --q-min 2 --q-max 64 --format csv",
+    "enumerate --q-min 2 --q-max 64 --format json",
+    "enumerate --q-min 2 --q-max 64 --only-no-genus3",
+    "enumerate --q-min 2 --q-max 64 --format csv --output classes.csv",
+    "enumerate --q-min 2 --q-max 64 --format csv --jobs 2",
+    "bounds --q 11 --a 2 --pa 3 --family general",
+    "bounds --q 4 --family wres",
+    "bounds --q 11 --family nonpp",
+    "bounds --q 8 --family nonpp --b -7",
+    "bounds --q 11 --family serre --g 3",
+    "label --encode 13,0,-11",
+    "label --decode 2.2.a_ab",
+]
+_MUTANTS = st.one_of(
+    st.integers(-64, 64).map(str),
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(["-" + _DIGITS_300, _DIGITS_300, "1" * 5000, str(2**40), str(BIG_Q)]),
+    st.just(""),
+    st.text(st.sampled_from("\u0660\u0663\u0967\uff17\U0001d7d9"), min_size=1, max_size=6),
+    st.from_regex(r"-?[0-9]{1,3}(_[0-9]{1,3}){1,2}", fullmatch=True),
+    st.sampled_from(["x" * 5000, "7," * 2500, "2." + "1" * 4998]),
+)
+
+
+def _enumerates_over_64_q(argv):
+    # True when argv asks enumerate for a range the safe bound accepts and wider than 64
+    values = dict(zip(argv, argv[1:]))
+    try:
+        lo, hi = int(values["--q-min"]), int(values["--q-max"])
+    except (KeyError, ValueError):
+        return False
+    return 2 <= lo and hi <= SAFE_BOUND and hi - lo > 64
+
+
+@st.composite
+def mutated_readme_argv(draw):
+    argv = draw(st.sampled_from(_README_ARGV)).split()
+    # the subcommand and flag values, not the flags, so that some mutants still run
+    values = [i for i, token in enumerate(argv) if not token.startswith("--")]
+    for _ in range(draw(st.integers(1, 3))):
+        argv[draw(st.sampled_from(values))] = draw(_MUTANTS)
+    assume(not _enumerates_over_64_q(argv))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=mutated_readme_argv())
+def test_mutated_readme_invocations_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # --output classes.csv, or its mutant, lands here
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert_one_short_error_line(code, out, err)
 
 
 def test_label_bad_encode_argument(capsys):
@@ -533,6 +716,29 @@ def test_label_bad_encode_argument(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "label", "--encode", "2,a,b")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    ("text", "value"),
+    [(" 2", 2), ("+0", 0), ("0_4", 4), ("-1_3", -13), ("\u0663", 3), ("\uff17", 7), ("7.0", None)],
+    ids=["leading-space", "plus-sign", "underscore", "negative-underscore", "arabic-indic-digit", "fullwidth-digit", "point"],
+)
+def test_integer_arguments_take_the_grammar_of_int(capsys, text, value):
+    # --q/--a/--b and the parts of --encode are read by int(): what it accepts they accept
+    encoded = run_cli(capsys, "label", "--encode", f"7,0,{text}")
+    joined = run_cli(capsys, "classify", "--q", "7", "--a", "0", f"--b={text}")
+    spaced = run_cli(capsys, "classify", "--q", "7", "--a", "0", "--b", text)
+    if value is None:
+        assert encoded[0] == joined[0] == spaced[0] == 1
+        return
+    assert encoded == (0, render_label(make_weil_quartic(7, 0, value)) + "\n", "")
+    assert joined == run_cli(capsys, "classify", "--q", "7", "--a", "0", "--b", str(value))
+    if text.startswith("-") and spaced[0] == 1:
+        # after a space, argparse reads a token that starts with "-" as a value only if it
+        # matches its pattern of a negative number, which has no "_" on Python 3.11
+        assert "expected one argument" in spaced[2]
+    else:
+        assert spaced == joined
 
 
 def test_label_requires_one_mode(capsys):
