@@ -84,10 +84,6 @@ _IRREDUCIBLE_FAMILIES = (Family.PIRR_A, Family.PIRR_B)
 _MEMBER_FAMILIES = (*_IRREDUCIBLE_FAMILIES, Family.SPECIAL_Q2, Family.SPECIAL_Q3)
 
 
-# the two reducible family members (t^2-2)^2 and (t^2-3)^2, both at b = -2q: q -> family
-_SPECIALS = {2: Family.SPECIAL_Q2, 3: Family.SPECIAL_Q3}
-
-
 class ClassKind(NamedTuple):
     """Verdict of the family classification.
 
@@ -105,11 +101,15 @@ class ClassKind(NamedTuple):
         return self.family in _IRREDUCIBLE_FAMILIES
 
 
-# matched family B pattern -> the kind of an irreducible member, None meaning family A;
-# one shared value per kind, so enumerate_classes builds no kind per member
-_IRREDUCIBLE_KINDS = {
+# the two reducible family members (t^2-2)^2 and (t^2-3)^2, both at b = -2q: q -> kind
+_SPECIALS = {q: ClassKind(family, f"(q,b)=({q},{-2 * q})") for q, family in ((2, Family.SPECIAL_Q2), (3, Family.SPECIAL_Q3))}
+
+# matched pattern -> the kind of a member, None meaning family A; one shared value
+# per kind, so neither classify nor enumerate_classes builds a kind per member
+_MEMBER_KINDS = {
     None: ClassKind(Family.PIRR_A),
     **{case: ClassKind(Family.PIRR_B, case) for case in (B_CASE_1_MINUS_2Q, B_CASE_2_MINUS_2Q, B_CASE_MINUS_Q)},
+    **{kind.b_case: kind for kind in _SPECIALS.values()},
 }
 
 
@@ -149,7 +149,7 @@ def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:
     if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
         patterns[-q] = B_CASE_MINUS_Q
     if q in _SPECIALS:
-        patterns[-2 * q] = f"(q,b)=({q},{-2 * q})"
+        patterns[-2 * q] = _SPECIALS[q].b_case
     return patterns
 
 
@@ -158,8 +158,11 @@ def classify(f: WeilQuartic) -> ClassKind:
 
     Outside classes also get their reason, from the first family A clause
     they fail.  The two coefficient conditions are mutually exclusive, or
-    InternalInvariantError is raised.  A member is irreducible unless
-    b = -2q, by the module's proof, so no irreducibility test is made.
+    InternalInvariantError is raised.  A member's kind is read from its
+    matched pattern: it is (t^2-q)^2, a special, when b = -2q, a family B
+    pattern only at q = 2 and 3, and every other member is irreducible,
+    by the module's proof, so none is tested.  A family A member never
+    has b = -2q, which would need a^2 = -q.
     """
     b_case = _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
     if f.a * f.a - f.b != f.q:
@@ -167,55 +170,41 @@ def classify(f: WeilQuartic) -> ClassKind:
     elif f.b >= 0:
         reason = "b-not-negative"
     elif prime_divisors_all_1_mod_3(-f.b):
-        return _classify_matched(f, True, b_case)
+        if b_case is not None:
+            raise InternalInvariantError(f"both conditions (a) and (b) match {f}")
+        return _MEMBER_KINDS[None]
     else:
         reason = "prime-divisor-of-b-not-1-mod-3"
     if b_case is None:
         return ClassKind(Family.OUTSIDE, reason=reason)
-    return _classify_matched(f, False, b_case)
-
-
-def _classify_matched(f: WeilQuartic, in_a: bool, b_case: str | None) -> ClassKind:
-    """The kind of a member, given the outcomes of the family A and family B conditions.
-
-    Exactly one condition holds, or InternalInvariantError is raised.
-    The member is (t^2-q)^2, a special, when b = -2q, a family B pattern
-    only at q = 2 and 3.  Every other member is irreducible, so none is
-    tested: it is reducible only if disc(f+) is a square, and the module
-    docstring shows that no family A or B member's is.  For family A,
-    disc(f+) = 3(4q - a^2) = s^2 would put 3 among the prime divisors of
-    -b, which are 1 mod 3; for family B, disc(f+) is 4(4q - 1), 8(2q - 1)
-    or 12q, none a square under its pattern's conditions.
-    """
-    if in_a == (b_case is not None):
-        raise InternalInvariantError(f"{'both' if in_a else 'neither of'} conditions (a) and (b) match {f}")
-    if f.b == -2 * f.q:
-        return ClassKind(_SPECIALS[f.q], b_case=b_case)
-    return _IRREDUCIBLE_KINDS[b_case]
+    return _MEMBER_KINDS[b_case]
 
 
 def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     """All family members at a given q, sorted by (a, b), duplicate-free.
 
-    Family A candidates are (+-a, a^2 - q) for each a >= 0 with a^2 < q
-    whose q - a^2 passes the prime-divisor test; family B candidates are
-    ``_family_b_patterns``.  Every candidate is a member, none Outside.
+    The a = 0 candidates are the b of ``_family_b_patterns``, and b = -q
+    when q = 1 (mod 6); each is built by ``make_weil_quartic`` and kept
+    when ``classify`` places it in a family.  A family B pattern that
+    ``classify`` places Outside raises InternalInvariantError.  The
+    family A candidates with a > 0 are
+    (+-a, a^2 - q) for each a > 0 with a^2 < q whose q - a^2 passes the
+    prime-divisor test.
 
-    A product of primes 1 mod 3 is 1 mod 6, so only the a with
-    a^2 = q - 1 (mod 6) are tested: one or two residues of a mod 6, and
-    none at q = 3^r.  The a = 0 members are classified by their
-    patterns.  Each a > 0 member is family A, with no per-member call: it
-    is irreducible, since disc(f+) = 3(4q - a^2) = s^2 would give 3 | s
-    and 4(q - a^2) = 3((s/3)^2 - a^2), so 3 | -b, whose prime divisors
-    are 1 mod 3 (the module docstring).  Each (-a, b) is the member
-    (a, b) with a negated and the same kind, since the Weil region, the
-    family conditions and disc(f+) = 12q - 3a^2 depend on a only through
-    a^2 and whether a = 0.
+    A product of primes 1 mod 3 is 1 mod 6, so (0, -q) is a candidate
+    only when q = 1 (mod 6), and only the a > 0 with a^2 = q - 1 (mod 6)
+    are tested: one or two residues of a mod 6, and none at q = 3^r.
+    Each a > 0 member is family A, with no per-member call: it is
+    irreducible, since disc(f+) = 3(4q - a^2) = s^2 would give 3 | s and
+    4(q - a^2) = 3((s/3)^2 - a^2), so 3 | -b, whose prime divisors are
+    1 mod 3 (the module docstring).  Each (-a, b) is the member (a, b)
+    with a negated and the same kind, since the Weil region, the family
+    conditions and disc(f+) = 12q - 3a^2 depend on a only through a^2
+    and whether a = 0.
 
-    The a = 0 members are built by ``make_weil_quartic``.  A member with
-    a > 0 needs no second prime-power lookup, since q = p^r was decided
-    once above, and lies in the Weil region: with a^2 < q and
-    b = a^2 - q,
+    A member with a > 0 needs no second prime-power lookup, since
+    q = p^r was decided once above, and lies in the Weil region: with
+    a^2 < q and b = a^2 - q,
         a^2 < q <= 16q;
         2q + b = q + a^2 > 0 and (2q + b)^2 - 4a^2 q = (q - a^2)^2 >= 0;
         a^2 - 4b + 8q = 12q - 3a^2 > 0.
@@ -224,29 +213,22 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     """
     p, r = require_prime_power(q)
     patterns = _family_b_patterns(q, p, r)
-    # b at a = 0 -> whether it meets the family A condition
-    at_zero = dict.fromkeys(patterns, False)
-    positive = []
-    # the a >= 0 with a^2 < q and q - a^2 = 1 (mod 6), in increasing order
-    bound = isqrt(q - 1) + 1
-    for a in sorted(a for x in range(6) if (q - x * x) % 6 == 1 for a in range(x, bound, 6)):
-        if prime_divisors_all_1_mod_3(q - a * a):
-            if a:
-                positive.append(a)
-            else:
-                at_zero[-q] = True
     members = []
-    for b in sorted(at_zero):
+    for b in sorted({*patterns, -q} if q % 6 == 1 else patterns):
         f = make_weil_quartic(q, 0, b)
-        members.append((f, _classify_matched(f, at_zero[b], patterns.get(b))))
-    for a in positive:
-        f = WeilQuartic(q, p, r, a, a * a - q)
-        failure = weil_validity_failure(q, a, f.b)
-        if failure is not None:
-            raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
-        members.append((f, _IRREDUCIBLE_KINDS[None]))
-    mirrors = [(WeilQuartic(q, p, r, -f.a, f.b), kind) for f, kind in reversed(members) if f.a]
-    return mirrors + members
+        if (kind := classify(f)).family is not Family.OUTSIDE:
+            members.append((f, kind))
+        elif b in patterns:
+            raise InternalInvariantError(f"family B pattern {f} classified Outside: {kind.reason}")
+    # the a > 0 with a^2 < q and q - a^2 = 1 (mod 6), in increasing order; x = 6 stands for residue 0
+    for a in sorted(a for x in range(1, 7) if (q - x * x) % 6 == 1 for a in range(x, isqrt(q - 1) + 1, 6)):
+        if prime_divisors_all_1_mod_3(q - a * a):
+            f = WeilQuartic(q, p, r, a, a * a - q)
+            failure = weil_validity_failure(q, a, f.b)
+            if failure is not None:
+                raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
+            members.append((f, _MEMBER_KINDS[None]))
+    return [(WeilQuartic(q, p, r, -f.a, f.b), kind) for f, kind in reversed(members) if f.a] + members
 
 
 def _require_family(kind: ClassKind, operation: str, families: tuple[Family, ...]) -> None:

@@ -27,11 +27,10 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from math import isqrt
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
-from .core import InternalInvariantError, label_coefficients, make_weil_quartic, render_label, _primes_in, _small_primes
+from .core import InternalInvariantError, label_coefficients, make_weil_quartic, prime_powers_in_range, render_label
 from .records import FIELD_NAMES, ClassRecord, build_record, pair_lines, records_for_q, table_lines, to_json_line, with_mirrors
 
 SAFE_BOUND = 10**6
@@ -124,21 +123,6 @@ def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     record = build_record(make_weil_quartic(q, a, b))
     out.write(to_json_line(record))
     return 0
-
-
-def prime_powers_in_range(lo: int, hi: int) -> list[int]:
-    """Prime powers q with lo <= q <= hi, ascending; other q are skipped.
-
-    The primes come from one sieve of the range (``core._primes_in``).
-    The powers p^k, k >= 2, in the range have p <= isqrt(hi).
-    """
-    found = _primes_in(lo, hi)
-    for p in _small_primes(isqrt(max(0, hi))):
-        power = p
-        while (power := power * p) <= hi:
-            if power >= lo:
-                found.append(power)
-    return sorted(found)
 
 
 def _summary_line(q_min: int, q_max: int, kinds: Counter, genus3: Counter) -> str:
@@ -259,7 +243,12 @@ def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase
     }
     if interval.note is not None:
         payload["note"] = interval.note
-    out.write(json.dumps(payload) + "\n")
+    try:
+        line = json.dumps(payload)
+    except ValueError:  # an end point with more digits than int-to-str conversion allows
+        # only --g and --pa are unbounded, each the last flag of its family; the others are checked by the calculators
+        raise ValueError(f"--family {args.family}: end points too long to print; give a smaller --{takes[-1]}") from None
+    out.write(line + "\n")
     return 0
 
 

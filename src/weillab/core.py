@@ -23,7 +23,8 @@ squarefree_part does not trial-divide: it takes gcds of n against the
 product of the primes up to the cube root of |n| (a primorial, cached
 per power-of-two bound), and accepts 0 < |n| < 2^44.  disc(f+) <= 16q
 in the Weil region, so every class make_weil_quartic accepts builds a
-record.  The command line front end refuses q above its safe bound.
+record.  Of the command line subcommands, only ``enumerate`` refuses q
+above a safe bound.
 """
 
 from __future__ import annotations
@@ -172,6 +173,21 @@ def require_prime_power(q: int) -> tuple[int, int]:
     if decomposition is None:
         raise NotPrimePower(f"q={q} is not a prime power")
     return decomposition
+
+
+def prime_powers_in_range(lo: int, hi: int) -> list[int]:
+    """Prime powers q with lo <= q <= hi, ascending; other q are skipped.
+
+    The primes come from one sieve of the range (``_primes_in``).  The
+    powers p^k, k >= 2, in the range have p <= isqrt(hi).
+    """
+    found = _primes_in(lo, hi)
+    for p in _small_primes(isqrt(max(0, hi))):
+        power = p
+        while (power := power * p) <= hi:
+            if power >= lo:
+                found.append(power)
+    return sorted(found)
 
 
 def squarefree_part(n: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from math import inf, prod
 
 import pytest
@@ -129,13 +130,12 @@ def test_a_members_kind_says_whether_it_is_irreducible_below_10_6(qab):
         assert (kind.family in (Family.SPECIAL_Q2, Family.SPECIAL_Q3)) == (f.b == -2 * f.q)
 
 
-def test_classify_matched_rejects_neither_and_both_conditions():
-    from weillab.classify import _classify_matched
-
-    with pytest.raises(InternalInvariantError, match="neither"):
-        _classify_matched(make_weil_quartic(2, 0, -1), False, None)
+def test_classify_rejects_a_class_meeting_both_conditions(monkeypatch):
+    # (9, 0, -9) is the family B pattern b = -q at p = 3; a prime-divisor test that
+    # accepts 9 makes it meet the family A condition too
+    monkeypatch.setattr(sys.modules["weillab.classify"], "prime_divisors_all_1_mod_3", lambda m: m == 9 or prime_divisors_all_1_mod_3(m))
     with pytest.raises(InternalInvariantError, match="both"):
-        _classify_matched(make_weil_quartic(7, 0, -7), True, "b=-q")
+        classify(make_weil_quartic(9, 0, -9))
 
 
 def test_enumerate_sorted_and_duplicate_free():

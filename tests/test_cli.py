@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from weillab import Family, Split2, build_record, classify, cli, make_weil_quartic, records, render_label
-from weillab.cli import SAFE_BOUND, main, main_entry, prime_powers_in_range
-from weillab.core import InternalInvariantError, prime_power_decomposition
+from weillab.cli import SAFE_BOUND, main, main_entry
+from weillab.core import InternalInvariantError, prime_power_decomposition, prime_powers_in_range
 from weillab.records import FIELD_NAMES, ClassRecord, records_for_q, with_mirrors
 
 from oracles import trial_squarefree
@@ -176,6 +176,54 @@ def test_enumerate_table_bytes_to_q_1000(capsys, flags, digest):
     code, out, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "1000", "--format", "table", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Sha256Sink(io.TextIOBase):
+    """A text stream that keeps only the sha256 of the UTF-8 bytes written to it."""
+
+    def __init__(self) -> None:
+        self.hash = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self.hash.update(text.encode())
+        return len(text)
+
+
+_BAND = ("998001", "1000000")
+# (q-min, q-max, flags) -> sha256 of stdout, summary line included for the table format;
+# the q <= 10^4 csv sum is test_acceptance's criterion 5
+_PINNED_SUMS = {
+    ("2", "100000", "--format", "csv"): "7c25e950e37532ee2f83b836fbbfda1a1bfce9e8f6d41fbf6c4a2bfdace0b520",
+    ("2", "100000", "--format", "json"): "4bf980837f24567d294df4b8bd45b2d94f961266a91ac54abc2b90426a662799",
+    ("2", "10000", "--format", "json"): "b5f259f983bedc8cfbdf7aedcf5a67d783dee54a8cd8d02c5a032ea01f6fe474",
+    ("2", "10000", "--format", "table"): "762938e32a5b24d9d0972dde5414d8bb9149410e131a4445674ea78c85b8df96",
+    ("2", "10000", "--format", "csv", "--only-no-genus3"): "4d6fac03c204064eb26122f62bfdb07f0e30a7eb58a8a5e46ad0581d9d9c0aad",
+    (*_BAND, "--format", "csv"): "5a2e56a5d6a8ffd91f90f2d3b724b97e24ab997b1ed98f465fdbb4cc42fecfff",
+    (*_BAND, "--format", "json"): "0c820f732f16bcf8f7beb5fc76db8aeb29133d91deedff0cf931b7c30f6f4b6a",
+    (*_BAND, "--format", "table"): "05ef5f18d5d4cfa2b4ff6fb1c534b7c6de98a26a5ff262a4a7ae3199768e0db2",
+    (*_BAND, "--format", "csv", "--only-no-genus3"): "56f408fcc9d116d208b2bbc50fb3b57cc55e6fc02caa6a709c94b17e7cd598e0",
+    (*_BAND, "--format", "json", "--only-no-genus3"): "04c691a4fb60132f573108526d7124e87cbca680e8b7b97145701d1db9850de7",
+}
+_BAND_SUMMARY = (
+    "summary q=998001..1000000: records=33185 PirrA=32907 PirrB=278 SpecialQ2=0 SpecialQ3=0 "
+    "genus3_yes=27746 genus3_no=5439\n"
+)
+
+
+@pytest.mark.parametrize(("argv", "digest"), list(_PINNED_SUMS.items()), ids=[" ".join(argv) for argv in _PINNED_SUMS])
+def test_enumerate_stdout_keeps_its_pinned_sha256(monkeypatch, argv, digest):
+    # stdout is hashed as it is written, so no run's output is held in memory
+    q_min, q_max, *flags = argv
+    sink, err = _Sha256Sink(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", sink)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["enumerate", "--q-min", q_min, "--q-max", q_max, *flags]) == 0
+    assert sink.hash.hexdigest() == digest
+    if argv == (*_BAND, "--format", "csv"):
+        assert err.getvalue() == _BAND_SUMMARY
 
 
 def test_enumerate_output_file(tmp_path, capsys):
@@ -474,6 +522,29 @@ def test_bounds_general_rejects_a_trace_no_surface_has(capsys):
     code, out, err = run_cli(capsys, "bounds", "--q", "11", "--a", "-100", "--pa", "1", "--family", "general")
     assert (code, out) == (1, "")
     assert "16q" in err
+
+
+# serre --g or general --pa of 4,300 nines gives end points of 4,301 digits, one more than
+# int-to-str conversion allows by default
+_NINES_4300 = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    ("family_flags", "flag"),
+    [(("serre", "--g", _NINES_4300), "--g"), (("general", "--a", "0", "--pa", _NINES_4300), "--pa")],
+    ids=["serre-g", "general-pa"],
+)
+def test_bounds_end_points_too_long_to_print_name_the_family_and_flag(capsys, family_flags, flag):
+    family, *flags = family_flags
+    code, out, err = run_cli(capsys, "bounds", "--q", "11", "--family", family, *flags)
+    assert_one_short_error_line(code, out, err)
+    assert f"--family {family}" in err and flag in err and "set_int_max_str_digits" not in err
+
+
+def test_bounds_end_points_at_the_digit_limit_are_printed(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--q", "11", "--family", "serre", "--g", "9" * 4299)
+    assert (code, err) == (0, "")
+    assert len(out.encode()) == 17302 and json.loads(out)["family"] == "SerreWeil"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Range mode works per (+-a, b) pair, from candidate to written line.
 
-enumerate_classes classifies the members with a >= 0, builds only the
-a = 0 ones through make_weil_quartic, and mirrors each (a, b) with a > 0
-to (-a, b) with the same kind.  records_for_q builds the records of the
-members with a >= 0; with_mirrors gives every member's record, and
-pair_lines writes their lines, rendering each pair's cells once.  All are
-checked against the direct routes: every a from 0 to isqrt(q - 1) and
-every family B pattern, each through make_weil_quartic and
-_classify_matched, build_record on every member, and csv_row or
-to_json_line on every record.
+enumerate_classes classifies the members with a >= 0, builds and
+classifies only the a = 0 candidates through make_weil_quartic and
+classify, and mirrors each (a, b) with a > 0 to (-a, b) with the same
+kind.  records_for_q builds the records of the members with a >= 0;
+with_mirrors gives every member's record, and pair_lines writes their
+lines, rendering each pair's cells once.  All are checked against the
+direct routes: every a from 0 to isqrt(q - 1) and every family B
+pattern, each through make_weil_quartic and classify, build_record on
+every member, and csv_row or to_json_line on every record.
 """
 
 from __future__ import annotations
@@ -19,8 +19,18 @@ from math import isqrt
 import pytest
 from hypothesis import example, given, settings
 
-from weillab import build_record, enumerate_classes, make_weil_quartic, parse_label, render_label
-from weillab.classify import _classify_matched, _family_b_patterns, prime_divisors_all_1_mod_3
+from weillab import (
+    ClassKind,
+    Family,
+    InternalInvariantError,
+    build_record,
+    classify,
+    enumerate_classes,
+    make_weil_quartic,
+    parse_label,
+    render_label,
+)
+from weillab.classify import _family_b_patterns, prime_divisors_all_1_mod_3
 from weillab.core import require_prime_power
 from weillab.records import csv_row, pair_lines, records_for_q, to_json_line, with_mirrors
 
@@ -35,18 +45,12 @@ RECORDS = sys.modules["weillab.records"]
 def every_a_classes(q: int):
     """The members at q from every a >= 0 with a^2 < q, both signs, each built and classified."""
     p, r = require_prime_power(q)
-    in_a = {}
+    pairs = {(0, b) for b in _family_b_patterns(q, p, r)}
     for a in range(isqrt(q - 1) + 1):
-        b = a * a - q
-        if prime_divisors_all_1_mod_3(-b):
-            in_a[a, b] = in_a[-a, b] = True
-    patterns = _family_b_patterns(q, p, r)
-    for b in patterns:
-        in_a.setdefault((0, b), False)
-    members = []
-    for a, b in sorted(in_a):
-        f = make_weil_quartic(q, a, b)
-        members.append((f, _classify_matched(f, in_a[a, b], patterns.get(b) if a == 0 else None)))
+        if prime_divisors_all_1_mod_3(q - a * a):
+            pairs |= {(a, a * a - q), (-a, a * a - q)}
+    members = [(f, classify(f)) for f in (make_weil_quartic(q, a, b) for a, b in sorted(pairs))]
+    assert all(kind.family is not Family.OUTSIDE for _, kind in members), q
     return members
 
 
@@ -95,22 +99,40 @@ def test_pairs_match_the_every_a_route_below_10_6(q):
     check_pairs(q)
 
 
-@pytest.mark.parametrize("q", [2, 3, 7, 13, 243, 1024, 2401, 3**12, 999983])
+def zero_candidates(q: int) -> set[int]:
+    """The b that enumerate_classes tries at a = 0: the family B patterns, and -q when q = 1 (mod 6)."""
+    p, r = require_prime_power(q)
+    return {*_family_b_patterns(q, p, r), *([-q] if q % 6 == 1 else [])}
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 25, 121, 243, 1024, 2401, 3**12, 999983])
 def test_only_a_with_q_minus_a_squared_1_mod_6_are_tested(monkeypatch, q):
+    # the a > 0 loop tests q - a^2 = 1 (mod 6) only; classify tests q once when
+    # (0, -q) is a candidate with a^2 - b = q, as it is for every q = 1 (mod 6)
     tested = []
     monkeypatch.setattr(CLASSIFY, "prime_divisors_all_1_mod_3", lambda m: tested.append(m) or prime_divisors_all_1_mod_3(m))
     enumerate_classes(q)
-    assert tested == [q - a * a for a in range(isqrt(q - 1) + 1) if (q - a * a) % 6 == 1]
+    at_zero = [q] if -q in zero_candidates(q) else []
+    assert tested == at_zero + [q - a * a for a in range(1, isqrt(q - 1) + 1) if (q - a * a) % 6 == 1]
+    assert (q in tested) == (q % 6 == 1 or q in (2, 3**12))
     if q % 3 == 0:
-        assert tested == []
+        assert tested in ([], [q])
 
 
-@pytest.mark.parametrize("q", [2, 7, 2401, 999983])
+@pytest.mark.parametrize("q", [2, 7, 25, 121, 2401, 999983])
 def test_only_members_with_a_at_least_0_are_built(monkeypatch, q):
     quartics, records = [], []
     monkeypatch.setattr(CLASSIFY, "make_weil_quartic", lambda *qab: quartics.append(qab[1]) or make_weil_quartic(*qab))
     monkeypatch.setattr(RECORDS, "build_record", lambda f, kind: records.append(f.a) or build_record(f, kind))
     built = records_for_q(q)
     assert records == [record.a for record in built] and min(records) == 0
-    assert quartics == [0] * records.count(0)
+    assert quartics == [0] * len(zero_candidates(q))
+    assert records.count(0) == len(zero_candidates(q)) - (q == 25)  # (0, -25) is Outside: 5 is 2 mod 3
     assert len(with_mirrors(built)) == 2 * len(built) - records.count(0)
+
+
+def test_a_pattern_classified_outside_is_an_internal_error(monkeypatch):
+    real = CLASSIFY.classify
+    monkeypatch.setattr(CLASSIFY, "classify", lambda f: ClassKind(Family.OUTSIDE, reason="x") if f.b == 1 - 2 * f.q else real(f))
+    with pytest.raises(InternalInvariantError, match="b=-13"):
+        enumerate_classes(7)
