@@ -101,16 +101,12 @@ class ClassKind(NamedTuple):
         return self.family in _IRREDUCIBLE_FAMILIES
 
 
-# the two reducible family members (t^2-2)^2 and (t^2-3)^2, both at b = -2q: q -> kind
+# the kinds of the members, one shared value each, so neither classify nor
+# enumerate_classes builds a kind per member: family A, the three family B patterns,
+# and the two reducible members (t^2-2)^2 and (t^2-3)^2, both at b = -2q (q -> kind)
+_PIRR_A = ClassKind(Family.PIRR_A)
+_PIRR_B = {case: ClassKind(Family.PIRR_B, case) for case in (B_CASE_1_MINUS_2Q, B_CASE_2_MINUS_2Q, B_CASE_MINUS_Q)}
 _SPECIALS = {q: ClassKind(family, f"(q,b)=({q},{-2 * q})") for q, family in ((2, Family.SPECIAL_Q2), (3, Family.SPECIAL_Q3))}
-
-# matched pattern -> the kind of a member, None meaning family A; one shared value
-# per kind, so neither classify nor enumerate_classes builds a kind per member
-_MEMBER_KINDS = {
-    None: ClassKind(Family.PIRR_A),
-    **{case: ClassKind(Family.PIRR_B, case) for case in (B_CASE_1_MINUS_2Q, B_CASE_2_MINUS_2Q, B_CASE_MINUS_Q)},
-    **{kind.b_case: kind for kind in _SPECIALS.values()},
-}
 
 
 @unique
@@ -140,16 +136,16 @@ def _primorial_not_1_mod_3(limit: int) -> int:
     return _product([p for p in _small_primes(limit) if p % 3 != 1])
 
 
-def _family_b_patterns(q: int, p: int, r: int) -> dict[int, str]:
-    """The family B patterns met at q = p^r (with a = 0), as {b: pattern}."""
-    patterns = {1 - 2 * q: B_CASE_1_MINUS_2Q}
+def _family_b_patterns(q: int, p: int, r: int) -> dict[int, ClassKind]:
+    """The family B patterns met at q = p^r (with a = 0), as {b: the kind of its member}."""
+    patterns = {1 - 2 * q: _PIRR_B[B_CASE_1_MINUS_2Q]}
     if p > 2:
-        patterns[2 - 2 * q] = B_CASE_2_MINUS_2Q
+        patterns[2 - 2 * q] = _PIRR_B[B_CASE_2_MINUS_2Q]
     q_is_square = r % 2 == 0
     if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
-        patterns[-q] = B_CASE_MINUS_Q
+        patterns[-q] = _PIRR_B[B_CASE_MINUS_Q]
     if q in _SPECIALS:
-        patterns[-2 * q] = _SPECIALS[q].b_case
+        patterns[-2 * q] = _SPECIALS[q]
     return patterns
 
 
@@ -158,38 +154,41 @@ def classify(f: WeilQuartic) -> ClassKind:
 
     Outside classes also get their reason, from the first family A clause
     they fail.  The two coefficient conditions are mutually exclusive, or
-    InternalInvariantError is raised.  A member's kind is read from its
-    matched pattern: it is (t^2-q)^2, a special, when b = -2q, a family B
-    pattern only at q = 2 and 3, and every other member is irreducible,
-    by the module's proof, so none is tested.  A family A member never
-    has b = -2q, which would need a^2 = -q.
+    InternalInvariantError is raised.  A family B member's kind is the one
+    its matched pattern carries: it is (t^2-q)^2, a special, when b = -2q,
+    a family B pattern only at q = 2 and 3, and every other member is
+    irreducible, by the module's proof, so none is tested.  A family A
+    member never has b = -2q, which would need a^2 = -q.
     """
-    b_case = _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
+    b_kind = _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
     if f.a * f.a - f.b != f.q:
         reason = "b-not-in-weil-restriction-list" if f.a == 0 else "no-family-condition-matched"
     elif f.b >= 0:
         reason = "b-not-negative"
     elif prime_divisors_all_1_mod_3(-f.b):
-        if b_case is not None:
+        if b_kind is not None:
             raise InternalInvariantError(f"both conditions (a) and (b) match {f}")
-        return _MEMBER_KINDS[None]
+        return _PIRR_A
     else:
         reason = "prime-divisor-of-b-not-1-mod-3"
-    if b_case is None:
-        return ClassKind(Family.OUTSIDE, reason=reason)
-    return _MEMBER_KINDS[b_case]
+    return b_kind or ClassKind(Family.OUTSIDE, reason=reason)
 
 
 def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
-    """All family members at a given q, sorted by (a, b), duplicate-free.
+    """The family members at a given q with a >= 0, sorted by (a, b), duplicate-free.
+
+    Each entry with a > 0 stands for its pair of quadratic twists
+    (+-a, b): the member (-a, b), whose Weil polynomial is f(-t), has the
+    kind of (a, b), since the Weil region, the family conditions and
+    disc(f+) = 12q - 3a^2 depend on a only through a^2 and whether
+    a = 0.  So (-a, b) is neither built nor listed.
 
     The a = 0 candidates are the b of ``_family_b_patterns``, and b = -q
     when q = 1 (mod 6); each is built by ``make_weil_quartic`` and kept
     when ``classify`` places it in a family.  A family B pattern that
     ``classify`` places Outside raises InternalInvariantError.  The
-    family A candidates with a > 0 are
-    (+-a, a^2 - q) for each a > 0 with a^2 < q whose q - a^2 passes the
-    prime-divisor test.
+    family A candidates with a > 0 are (a, a^2 - q) for each a > 0 with
+    a^2 < q whose q - a^2 passes the prime-divisor test.
 
     A product of primes 1 mod 3 is 1 mod 6, so (0, -q) is a candidate
     only when q = 1 (mod 6), and only the a > 0 with a^2 = q - 1 (mod 6)
@@ -197,10 +196,7 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     Each a > 0 member is family A, with no per-member call: it is
     irreducible, since disc(f+) = 3(4q - a^2) = s^2 would give 3 | s and
     4(q - a^2) = 3((s/3)^2 - a^2), so 3 | -b, whose prime divisors are
-    1 mod 3 (the module docstring).  Each (-a, b) is the member (a, b)
-    with a negated and the same kind, since the Weil region, the family
-    conditions and disc(f+) = 12q - 3a^2 depend on a only through a^2
-    and whether a = 0.
+    1 mod 3 (the module docstring).
 
     A member with a > 0 needs no second prime-power lookup, since
     q = p^r was decided once above, and lies in the Weil region: with
@@ -227,8 +223,8 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
             failure = weil_validity_failure(q, a, f.b)
             if failure is not None:
                 raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
-            members.append((f, _MEMBER_KINDS[None]))
-    return [(WeilQuartic(q, p, r, -f.a, f.b), kind) for f, kind in reversed(members) if f.a] + members
+            members.append((f, _PIRR_A))
+    return members
 
 
 def _require_family(kind: ClassKind, operation: str, families: tuple[Family, ...]) -> None:

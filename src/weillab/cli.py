@@ -24,14 +24,15 @@ import json
 import os
 import stat
 import sys
+import tempfile
 from collections import Counter
 from collections.abc import Iterator
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
 from .core import InternalInvariantError, label_coefficients, make_weil_quartic, prime_powers_in_range, render_label
-from .records import FIELD_NAMES, ClassRecord, build_record, pair_lines, records_for_q, table_lines, to_json_line, with_mirrors
+from .records import FIELD_NAMES, TABLE_COLUMNS, build_record, pair_lines, records_for_q, table_line, table_rows, to_json_line
 
 SAFE_BOUND = 10**6
 # bounds --family -> (calculator, the flags it takes after --q, in argument order); nonpp may omit --b
@@ -195,10 +196,13 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     kinds: Counter = Counter()
     genus3: Counter = Counter()
-    # each q's records are written and dropped before the next q; only the
-    # table format holds them all, for its column widths
-    table: list[ClassRecord] = []
-    with nullcontext(out) if args.output is None else _open_output(args.output) as sink:
+    table = args.format == "table"
+    # each q's records are written and dropped before the next q; the table format
+    # spools each q's rows, their cells tab-joined, and keeps the widest cell of each
+    # column, then pads the rows on one read back
+    widest = list(TABLE_COLUMNS)
+    with nullcontext(out) if args.output is None else _open_output(args.output) as sink, ExitStack() as stack:
+        spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="")) if table else None
         if args.format == "csv":
             sink.write(",".join(FIELD_NAMES) + "\n")
         # records_for_q holds the a >= 0 members of each pair (+-a, b), whose two records
@@ -207,19 +211,24 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
             records = records_for_q(q)
             if args.only_no_genus3:
                 records = [record for record in records if record.genus3_exists is False]
-            if args.format == "table":
-                table.extend(with_mirrors(records))
+            if table:
+                rows = table_rows(records)
+                widest = [max(column, key=len) for column in zip(widest, *rows)]
+                spool.writelines("\t".join(cells) + "\n" for cells in rows)
             else:
                 sink.write("".join(pair_lines(records, args.format)))
             for record in records:
                 weight = 2 if record.a else 1
                 kinds[record.class_kind] += weight
                 genus3[record.genus3_exists] += weight
-        if args.format == "table":
-            sink.writelines(table_lines(table))
+        if table:
+            widths = [len(cell) for cell in widest]
+            spool.seek(0)
+            sink.write(table_line(TABLE_COLUMNS, widths))
+            sink.writelines(table_line(line[:-1].split("\t"), widths) for line in spool)
 
     summary = _summary_line(q_min, q_max, kinds, genus3)
-    if args.format == "table" and args.output is None:
+    if table and args.output is None:
         out.write(summary + "\n")
     else:
         err.write(summary + "\n")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterator
 from functools import cache
 from typing import NamedTuple
 
@@ -117,21 +116,23 @@ def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
 def records_for_q(q: int) -> list[ClassRecord]:
     """Records of the family members at q with a >= 0, in (a, b) order.
 
-    Each record with a != 0 stands for its pair (+-a, b): (-a, b) has the
-    kind, disc(f+) = 12q - 3a^2 and class key of (a, b), so its record
-    is the record of (a, b) with a negated and the sign marker ``a`` put
-    in front of enc(a) in the label.  :func:`with_mirrors` gives every
+    These are the members :func:`~weillab.classify.enumerate_classes`
+    lists, and each record with a != 0 stands for its pair of quadratic
+    twists (+-a, b), by the proof there.  :func:`with_mirrors` gives every
     member's record; :func:`pair_lines` writes them all.
     """
-    return [build_record(f, kind) for f, kind in enumerate_classes(q) if f.a >= 0]
+    return [build_record(f, kind) for f, kind in enumerate_classes(q)]
 
 
 def with_mirrors(records: list[ClassRecord]) -> list[ClassRecord]:
     """The records of every member at one q, in (a, b) order, from its ``records_for_q``.
 
     The (-a, b) records come first, mirrored in reverse from the records
-    with a != 0.  A filter on a cell both members of a pair share (such
-    as ``genus3_exists``) gives the same list before as after.
+    with a != 0: a twist has the kind, and so the cells, of (a, b) (see
+    :func:`~weillab.classify.enumerate_classes`), and differs only in a
+    and the sign marker ``a`` put in front of enc(a) in the label.  A
+    filter on a cell both members of a pair share (such as
+    ``genus3_exists``) gives the same list before as after.
     """
     mirrors = [record._replace(a=-record.a, label=_mirror_label(record.label)) for record in reversed(records) if record.a]
     return mirrors + records
@@ -230,9 +231,9 @@ def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
 
     ``records`` are one q's ``records_for_q``, or those of them that a
     filter on a cell both members of a pair share keeps.  The parts of
-    each pair (+-a, b) are rendered once and written in two lines; a
-    record with a = 0 has no mirror and is written by :func:`csv_row` or
-    :func:`to_json_line`.
+    each pair (+-a, b) are rendered once and written in two lines, as
+    :func:`with_mirrors` mirrors a record; a record with a = 0 has no
+    mirror and is written by :func:`csv_row` or :func:`to_json_line`.
     """
     parts = _csv_parts if fmt == "csv" else _json_parts
     single = csv_row if fmt == "csv" else to_json_line
@@ -243,22 +244,26 @@ def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
     return lines
 
 
-_TABLE_COLUMNS = (
+TABLE_COLUMNS = (
     "q", "a", "b", "label", "class_kind", "b_case", "ordinary",
     "d", "split2_Kplus", "deg4_polarisation", "genus3_exists", "rule",
 )
 
 
-def table_lines(records: list[ClassRecord]) -> Iterator[str]:
-    """The aligned table of ``records``: a header line, then one line per record.
+def table_rows(records: list[ClassRecord]) -> list[list[str]]:
+    """The table cells, in TABLE_COLUMNS, of each of ``with_mirrors(records)``.
 
-    Each column is as wide as its widest cell, columns are two spaces
-    apart and trailing spaces are cut; None, True and False read "-",
-    "yes" and "no".  The lines are yielded one at a time, so that no
-    text of the whole table is held beside its cells.
+    None, True and False read "-", "yes" and "no".  No cell holds a tab
+    or a newline.
     """
-    rows = [_TABLE_COLUMNS]
-    rows += ([_cell(getattr(record, name), "-", "yes", "no") for name in _TABLE_COLUMNS] for record in records)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
-    for row in rows:
-        yield "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+    return [[_cell(getattr(record, name), "-", "yes", "no") for name in TABLE_COLUMNS] for record in with_mirrors(records)]
+
+
+def table_line(cells: list[str], widths: list[int]) -> str:
+    """One line of the aligned table: each cell padded to its column's width, newline included.
+
+    Columns are two spaces apart and trailing spaces are cut.  A table's
+    widths are those of its widest cells, the header's TABLE_COLUMNS
+    among them.
+    """
+    return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip() + "\n"

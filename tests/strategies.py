@@ -22,9 +22,20 @@ from oracles import oracle_all_prime_divisors_1_mod_3, prime_powers_up_to
 
 
 def family_members(limit: int):
-    """(f, kind) for every family member and special with q <= limit, in (q, a, b) order."""
+    """(f, kind) for every family member and special with q <= limit, in (q, a, b) order.
+
+    enumerate_classes lists the members with a >= 0; each twist (-a, b) of
+    one with a > 0 is built by make_weil_quartic and classified here, and
+    must get the kind of (a, b).
+    """
     for q in prime_powers_up_to(limit):
-        yield from enumerate_classes(q)
+        members = enumerate_classes(q)
+        for f, kind in reversed(members):
+            if f.a:
+                twist, twist_kind = kind_of(q, -f.a, f.b)
+                assert twist_kind == kind, twist
+                yield twist, twist_kind
+        yield from members
 
 
 def kind_of(q: int, a: int, b: int):

@@ -54,7 +54,6 @@ def test_enumerate_rejects_non_prime_power():
 def test_enumerate_q2():
     rows = [(f.a, f.b, k.family) for f, k in enumerate_classes(2)]
     assert rows == [
-        (-1, -1, Family.PIRR_A),
         (0, -4, Family.SPECIAL_Q2),
         (0, -3, Family.PIRR_B),
         (0, -2, Family.PIRR_B),
@@ -89,16 +88,20 @@ def test_enumerate_q4_has_no_2_minus_2q_row():
 
 
 def test_enumerate_classes_is_complete_up_to_64():
-    # every Weil (a, b) that classify places in a family, with the same kind, in (a, b) order
+    # every Weil (a, b) with a >= 0 that classify places in a family, with the same kind,
+    # in (a, b) order; and every member with a < 0 is the twist of one of them, same kind
     for q in prime_powers_up_to(64):
-        expected = []
+        members = []
         for a, b in _grid_pairs(q):
             if weil_validity_failure(q, a, b) is None:
                 f = make_weil_quartic(q, a, b)
                 kind = classify(f)
                 if kind.family is not Family.OUTSIDE:
-                    expected.append((f, kind))
+                    members.append((f, kind))
+        expected = [(f, kind) for f, kind in members if f.a >= 0]
         assert enumerate_classes(q) == expected, q
+        twists = [(f.a, f.b, kind) for f, kind in members if f.a < 0]
+        assert twists == [(-f.a, f.b, kind) for f, kind in reversed(expected) if f.a], q
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,10 +111,11 @@ def test_enumerate_classes_is_complete_up_to_64():
 @example((2401, 42, -637))
 @example((2401, -42, -637))
 def test_classify_agrees_with_enumerate_classes_below_10_6(qab):
-    # a class is enumerated, with the kind classify gives it, exactly when it is a member
+    # a class is enumerated, as (|a|, b) with the kind classify gives it, exactly when it is a member
     f = make_weil_quartic(*qab)
     kind = classify(f)
-    assert ((f, kind) in enumerate_classes(f.q)) == (kind.family is not Family.OUTSIDE)
+    listed = (make_weil_quartic(f.q, abs(f.a), f.b), kind) in enumerate_classes(f.q)
+    assert listed == (kind.family is not Family.OUTSIDE)
 
 
 @settings(max_examples=300, deadline=None)

@@ -374,7 +374,7 @@ def test_enumerate_memory_is_bounded_by_one_q(tmp_path, capsys):
         assert code == 0
         return peak
 
-    for fmt in ("csv", "json"):
+    for fmt in ("csv", "json", "table"):
         target = str(tmp_path / f"classes.{fmt}")
         # fill the factorisation caches first, so that neither traced run pays for them
         assert main(["enumerate", "--q-min", "20000", "--q-max", "20500", "--format", fmt, "--output", target]) == 0

@@ -1,13 +1,13 @@
 """Range mode works per (+-a, b) pair, from candidate to written line.
 
-enumerate_classes classifies the members with a >= 0, builds and
-classifies only the a = 0 candidates through make_weil_quartic and
-classify, and mirrors each (a, b) with a > 0 to (-a, b) with the same
-kind.  records_for_q builds the records of the members with a >= 0;
-with_mirrors gives every member's record, and pair_lines writes their
-lines, rendering each pair's cells once.  All are checked against the
-direct routes: every a from 0 to isqrt(q - 1) and every family B
-pattern, each through make_weil_quartic and classify, build_record on
+enumerate_classes lists the members with a >= 0, each a > 0 entry
+standing for its pair of quadratic twists, and builds and classifies
+only the a = 0 candidates through make_weil_quartic and classify.
+records_for_q builds their records; with_mirrors gives every member's
+record, and pair_lines writes their lines, rendering each pair's cells
+once.  All are checked against the direct routes: every a from
+-isqrt(q - 1) to isqrt(q - 1) and every family B pattern, each sign
+through make_weil_quartic and classify on its own, build_record on
 every member, and csv_row or to_json_line on every record.
 """
 
@@ -55,14 +55,15 @@ def every_a_classes(q: int):
 
 
 def check_pairs(q: int) -> None:
+    members = every_a_classes(q)
     classes = enumerate_classes(q)
-    assert classes == every_a_classes(q), q
-    kinds = {(f.a, f.b): kind for f, kind in classes}
-    assert all(kind is kinds[-f.a, f.b] for f, kind in classes if f.a < 0), q
+    assert classes == [(f, kind) for f, kind in members if f.a >= 0], q
+    kinds = {(f.a, f.b): kind for f, kind in members}
+    assert all(kind is kinds[-f.a, f.b] for f, kind in members if f.a < 0), q
     built = records_for_q(q)
-    assert built == [build_record(f, kind) for f, kind in classes if f.a >= 0], q
+    assert built == [build_record(f, kind) for f, kind in classes], q
     records = with_mirrors(built)
-    assert records == [build_record(f, kind) for f, kind in classes], q
+    assert records == [build_record(f, kind) for f, kind in members], q
     for record in records:
         if record.a < 0:
             f = parse_label(record.label)
@@ -129,6 +130,7 @@ def test_only_members_with_a_at_least_0_are_built(monkeypatch, q):
     assert quartics == [0] * len(zero_candidates(q))
     assert records.count(0) == len(zero_candidates(q)) - (q == 25)  # (0, -25) is Outside: 5 is 2 mod 3
     assert len(with_mirrors(built)) == 2 * len(built) - records.count(0)
+    assert all(f.a >= 0 for f, _ in enumerate_classes(q))
 
 
 def test_a_pattern_classified_outside_is_an_internal_error(monkeypatch):
