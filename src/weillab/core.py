@@ -16,15 +16,20 @@ decided here by three exact integer inequalities:
     2q + b >= 0  and  (2q + b)^2 >= 4*a^2*q
     a^2 - 4b + 8q >= 0
 
-All arithmetic is plain Python integer arithmetic, hence exact.  Trial
-division accepts 1 <= n < 2^40 and raises ValueError beyond, before any
-sieve is built, so a q that large is refused by make_weil_quartic.
-squarefree_part does not trial-divide: it takes gcds of n against the
-product of the primes up to the cube root of |n| (a primorial, cached
-per power-of-two bound), and accepts 0 < |n| < 2^44.  disc(f+) <= 16q
-in the Weil region, so every class make_weil_quartic accepts builds a
-record.  Of the command line subcommands, only ``enumerate`` refuses q
-above a safe bound.
+All arithmetic is plain Python integer arithmetic, hence exact.
+factorize is blocked trial division: it takes one gcd of the unfactored
+part m against the product of each run of 32 primes (cached per
+power-of-two bound), divides by a run's primes only when that gcd
+exceeds 1, and stops at the first run whose first prime p has p^2 > m.
+It is exact because every prime below p has been divided out by then,
+so m < p^2 is 1 or a prime.  It accepts 1 <= n < 2^40 and raises
+ValueError beyond, before any sieve or product is built, so a q that
+large is refused by make_weil_quartic.  squarefree_part does not
+trial-divide: it takes gcds of n against the product of the primes up
+to the cube root of |n| (a primorial, cached per power-of-two bound),
+and accepts 0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so
+every class make_weil_quartic accepts builds a record.  Of the command
+line subcommands, only ``enumerate`` refuses q above a safe bound.
 """
 
 from __future__ import annotations
@@ -135,18 +140,46 @@ def _primorial(limit: int) -> int:
     return _product(_small_primes(limit))
 
 
+# primes per block of factorize: one gcd against the product of 32 primes
+# costs a fraction of 32 divisions
+_BLOCK = 32
+
+
+@lru_cache(maxsize=None)
+def _block_products(limit: int) -> tuple[int, ...]:
+    """The product of each run of _BLOCK consecutive primes <= limit, ascending."""
+    primes = _small_primes(limit)
+    return tuple(prod(primes[start : start + _BLOCK]) for start in range(0, len(primes), _BLOCK))
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}."""
+    """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}, primes ascending.
+
+    Blocked trial division: the primes up to ``trial_limit(n)`` are taken
+    in runs of _BLOCK, and a run is divided into m, the part of n not yet
+    factored, only when gcd(m, product of the run) > 1.  The walk stops
+    at the first run whose first prime p has p^2 > m.  Every prime below
+    p is divided out by then, so m < p^2 is 1 or a prime; past the last
+    run every prime up to the limit, which exceeds sqrt(n), is divided
+    out, so the same holds.
+    """
+    limit = trial_limit(n)
+    primes = _small_primes(limit)
     factors: dict[int, int] = {}
     m = n
-    for p in _small_primes(trial_limit(n)):
-        if p * p > m:
+    start = 0
+    for block in _block_products(limit):
+        first = primes[start]
+        if first * first > m:
             break
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+        if gcd(m, block) > 1:
+            for p in primes[start : start + _BLOCK]:
+                while m % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    m //= p
+        start += _BLOCK
     if m > 1:
-        factors[m] = factors.get(m, 0) + 1
+        factors[m] = 1
     return factors
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths: a
 companion-matrix characteristic polynomial instead of the closed base
 change formulas, floating root moduli instead of integer inequalities,
-a division-only squarefree search instead of factorisation, the 2-adic
+a division-only squarefree search instead of factorisation, a plain
+divisor loop instead of blocked trial division, the 2-adic
 class of a discriminant instead of its squarefree part, and list based
 GF(2) arithmetic instead of bit masks.
 """
@@ -260,6 +261,25 @@ def base26_code(n: int) -> str:
         m %= power
         power //= 26
     return code if n > 0 else "a" + code
+
+
+# ---------------------------------------------------------------------------
+# divisor-loop factorisation
+
+
+def trial_factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, dividing the rest by d = 2, 3, 4, ... while d^2 <= it."""
+    factors: dict[int, int] = {}
+    rest = n
+    d = 2
+    while d * d <= rest:
+        while rest % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            rest //= d
+        d += 1
+    if rest > 1:
+        factors[rest] = factors.get(rest, 0) + 1
+    return factors
 
 
 # ---------------------------------------------------------------------------

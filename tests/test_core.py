@@ -27,6 +27,7 @@ from oracles import (
     gf2_factor_names,
     has_weil_root_moduli,
     prime_powers_up_to,
+    trial_factorize,
     trial_squarefree,
     valid_pairs_for_q,
 )
@@ -187,14 +188,49 @@ def test_squarefree_part_matches_oracle(n, sign):
 
 
 # ---------------------------------------------------------------------------
+# factorisation
+
+
+def check_factorize(n):
+    factors = factorize(n)
+    assert factors == trial_factorize(n)
+    assert list(factors) == sorted(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**7))
+def test_factorize_matches_oracle(n):
+    check_factorize(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        131,  # the 32nd prime, last of the first block
+        137,  # the 33rd prime, first of the second block
+        131 * 137,
+        137**2,
+        2**39,
+        3**25,
+        1048573**2,  # 1048573 < 2^20 is prime
+        1048571 * 1048573,  # both prime factors near 2^20: the walk reaches the last blocks below 2^20
+        2**40 - 1,
+    ],
+)
+def test_factorize_at_block_edges_and_near_the_ceiling(n):
+    check_factorize(n)
+
+
+# ---------------------------------------------------------------------------
 # the trial-division ceiling
 
 
 def test_trial_division_ceiling_raises_before_any_sieve(monkeypatch):
     def refuse(limit):
-        raise AssertionError(f"a sieve up to {limit} was built")
+        raise AssertionError(f"a sieve or block product up to {limit} was built")
 
     monkeypatch.setattr("weillab.core._small_primes", refuse)
+    monkeypatch.setattr("weillab.core._block_products", refuse)
     with pytest.raises(ValueError, match="2\\^40"):
         factorize(2**40)
     with pytest.raises(ValueError, match="2\\^44"):
