@@ -156,8 +156,8 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}, primes ascending.
 
     Blocked trial division: the primes up to ``trial_limit(n)`` are taken
-    in runs of _BLOCK, and a run is divided into m, the part of n not yet
-    factored, only when gcd(m, product of the run) > 1.  The walk stops
+    in runs of _BLOCK, and m, the part of n not yet factored, is divided
+    by a run's primes only when gcd(m, product of the run) > 1.  The walk stops
     at the first run whose first prime p has p^2 > m.  Every prime below
     p is divided out by then, so m < p^2 is 1 or a prime; past the last
     run every prime up to the limit, which exceeds sqrt(n), is divided
