@@ -193,6 +193,11 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     A product of primes 1 mod 3 is 1 mod 6, so (0, -q) is a candidate
     only when q = 1 (mod 6), and only the a > 0 with a^2 = q - 1 (mod 6)
     are tested: one or two residues of a mod 6, and none at q = 3^r.
+    They share one prime product: m = q - a^2 is kept when it is coprime
+    to the product of the primes not 1 mod 3 up to trial_limit(q), which
+    is exactly :func:`prime_divisors_all_1_mod_3` of m.  Its argument
+    holds for any bound above sqrt(m), and since m < q,
+    trial_limit(q) >= trial_limit(m) > sqrt(m).
     Each a > 0 member is family A, with no per-member call: it is
     irreducible, since disc(f+) = 3(4q - a^2) = s^2 would give 3 | s and
     4(q - a^2) = 3((s/3)^2 - a^2), so 3 | -b, whose prime divisors are
@@ -217,13 +222,14 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
         elif b in patterns:
             raise InternalInvariantError(f"family B pattern {f} classified Outside: {kind.reason}")
     # the a > 0 with a^2 < q and q - a^2 = 1 (mod 6), in increasing order; x = 6 stands for residue 0
-    for a in sorted(a for x in range(1, 7) if (q - x * x) % 6 == 1 for a in range(x, isqrt(q - 1) + 1, 6)):
-        if prime_divisors_all_1_mod_3(q - a * a):
-            f = WeilQuartic(q, p, r, a, a * a - q)
-            failure = weil_validity_failure(q, a, f.b)
-            if failure is not None:
-                raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
-            members.append((f, _PIRR_A))
+    candidates = sorted(a for x in range(1, 7) if (q - x * x) % 6 == 1 for a in range(x, isqrt(q - 1) + 1, 6))
+    product = _primorial_not_1_mod_3(trial_limit(q))
+    for a in [a for a in candidates if gcd(q - a * a, product) == 1]:
+        f = WeilQuartic(q, p, r, a, a * a - q)
+        failure = weil_validity_failure(q, a, f.b)
+        if failure is not None:
+            raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
+        members.append((f, _PIRR_A))
     return members
 
 

@@ -77,11 +77,15 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     else:
         split2 = _split2_of(f, delta, d) if kind.is_irreducible_family else None
         key = (kind, split2, f.p == 2, f.a == 0)
-        cells = _MEMBER_CELLS.get(key)
-        if cells is None:
-            cells = _MEMBER_CELLS[key] = _member_cells(f, kind)
-        lead, rest = cells
+        lead, rest = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
     return ClassRecord(f.q, f.p, f.r, f.a, f.b, render_label(f), *lead, delta, c, d, *rest)
+
+
+def _filled_cells(key: tuple, f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
+    # the cells of a class key met for the first time, from its first member f; the
+    # builders read a warm key's cells with one _MEMBER_CELLS.get and call this on a miss
+    cells = _MEMBER_CELLS[key] = _member_cells(f, kind)
+    return cells
 
 
 def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
@@ -120,8 +124,31 @@ def records_for_q(q: int) -> list[ClassRecord]:
     lists, and each record with a != 0 stands for its pair of quadratic
     twists (+-a, b), by the proof there.  :func:`with_mirrors` gives every
     member's record; :func:`pair_lines` writes them all.
+
+    The a = 0 members, one to four of varied kinds, come first, and
+    :func:`build_record` builds their records.  The a > 0 members are all
+    family A, share q, p and r and differ only in a, b and how 2 splits
+    in K+, so their records are built from per-q parts, as
+    :func:`build_record` would build them: per record the label, delta
+    = c^2 * d from one squarefree decomposition, and the splitting of 2
+    from d, with the member checks of ``_split2_of``; the class cells
+    once per splitting of 2 at q, under :func:`build_record`'s class key.
     """
-    return [build_record(f, kind) for f, kind in enumerate_classes(q)]
+    classes = enumerate_classes(q)
+    records = [build_record(f, kind) for f, kind in classes if f.a == 0]
+    at_q = {}  # splitting of 2 in K+ -> the class cells of the a > 0 members at q
+    for f, kind in classes[len(records) :]:
+        delta = fplus_discriminant(f)
+        c, d = squarefree_part(delta)
+        split2 = _split2_of(f, delta, d)
+        cells = at_q.get(split2)
+        if cells is None:
+            key = (kind, split2, f.p == 2, False)
+            cells = at_q[split2] = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
+        lead, rest = cells
+        # f is (q, p, r, a, b), the record's first five cells
+        records.append(ClassRecord._make((*f, render_label(f), *lead, delta, c, d, *rest)))
+    return records
 
 
 def with_mirrors(records: list[ClassRecord]) -> list[ClassRecord]:

@@ -34,7 +34,7 @@ from weillab import (
     two_adic_data,
 )
 from weillab import records
-from weillab.classify import Family, classify
+from weillab.classify import Family, classify, prime_divisors_all_1_mod_3
 
 from oracles import oracle_split2, trial_squarefree
 from strategies import CLASS_KEY_FIRST_MEMBERS, family_members, kind_of
@@ -120,6 +120,20 @@ def test_range_mode_tests_irreducibility_once_per_class_key(monkeypatch):
     records.records_for_q(2401)
     records.records_for_q(999983)
     assert counts["is_irreducible_over_Q"] == len(records._MEMBER_CELLS) == 6
+
+
+@pytest.mark.parametrize("q", [2401, 999983])
+def test_range_mode_derives_what_a_q_shares_once(monkeypatch, q):
+    # once the class keys are warm, only the a = 0 members go through build_record, and
+    # through classify, which tests the prime divisors of q once when (0, -q) is a
+    # candidate, as it is for every q = 1 (mod 6); the a > 0 candidates share one prime
+    # product, and each a > 0 record makes one squarefree decomposition
+    records.records_for_q(q)
+    counts = _count_calls(monkeypatch, build_record, prime_divisors_all_1_mod_3, squarefree_part, is_irreducible_over_Q)
+    built = records.records_for_q(q)
+    at_zero = sum(record.a == 0 for record in built)
+    assert 0 < at_zero < len(built)
+    assert counts == Counter(build_record=at_zero, prime_divisors_all_1_mod_3=int(q % 6 == 1), squarefree_part=len(built))
 
 
 def test_a_kind_its_irreducibility_test_contradicts_fails_at_a_cold_class_key(monkeypatch):

@@ -14,7 +14,7 @@ every member, and csv_row or to_json_line on every record.
 from __future__ import annotations
 
 import sys
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,8 +30,8 @@ from weillab import (
     parse_label,
     render_label,
 )
-from weillab.classify import _family_b_patterns, prime_divisors_all_1_mod_3
-from weillab.core import require_prime_power
+from weillab.classify import _family_b_patterns, _primorial_not_1_mod_3, prime_divisors_all_1_mod_3
+from weillab.core import require_prime_power, trial_limit
 from weillab.records import csv_row, pair_lines, records_for_q, to_json_line, with_mirrors
 
 from oracles import prime_powers_up_to
@@ -96,6 +96,12 @@ def test_pairs_match_the_every_a_route_up_to_5000():
 @example(2401)
 @example(2**10)
 @example(2**19)
+# q = (2^k - 1)^2 with 2^k - 1 prime: trial_limit(q) = 2 * trial_limit(q - 1), so every
+# a > 0 candidate is tested against a longer prime product than its own bound takes
+@example(9)
+@example(49)
+@example(961)
+@example(16129)
 def test_pairs_match_the_every_a_route_below_10_6(q):
     check_pairs(q)
 
@@ -108,11 +114,22 @@ def zero_candidates(q: int) -> set[int]:
 
 @pytest.mark.parametrize("q", [2, 3, 7, 13, 25, 121, 243, 1024, 2401, 3**12, 999983])
 def test_only_a_with_q_minus_a_squared_1_mod_6_are_tested(monkeypatch, q):
-    # the a > 0 loop tests q - a^2 = 1 (mod 6) only; classify tests q once when
-    # (0, -q) is a candidate with a^2 - b = q, as it is for every q = 1 (mod 6)
-    tested = []
+    # the a > 0 candidates are tested at q - a^2 = 1 (mod 6) only, each by one gcd with
+    # the prime product of q; classify tests q once when (0, -q) is a candidate with
+    # a^2 - b = q, as it is for every q = 1 (mod 6), and the gcd that
+    # prime_divisors_all_1_mod_3 then makes has m = q, above every q - a^2
+    tested, products = [], set()
     monkeypatch.setattr(CLASSIFY, "prime_divisors_all_1_mod_3", lambda m: tested.append(m) or prime_divisors_all_1_mod_3(m))
+
+    def divided(m, n):
+        if m < q:
+            tested.append(m)
+            products.add(n)
+        return gcd(m, n)
+
+    monkeypatch.setattr(CLASSIFY, "gcd", divided)
     enumerate_classes(q)
+    assert products <= {_primorial_not_1_mod_3(trial_limit(q))}
     at_zero = [q] if -q in zero_candidates(q) else []
     assert tested == at_zero + [q - a * a for a in range(1, isqrt(q - 1) + 1) if (q - a * a) % 6 == 1]
     assert (q in tested) == (q % 6 == 1 or q in (2, 3**12))
@@ -126,7 +143,8 @@ def test_only_members_with_a_at_least_0_are_built(monkeypatch, q):
     monkeypatch.setattr(CLASSIFY, "make_weil_quartic", lambda *qab: quartics.append(qab[1]) or make_weil_quartic(*qab))
     monkeypatch.setattr(RECORDS, "build_record", lambda f, kind: records.append(f.a) or build_record(f, kind))
     built = records_for_q(q)
-    assert records == [record.a for record in built] and min(records) == 0
+    # build_record runs once per a = 0 entry; check_pairs compares the a > 0 records with its own
+    assert records == [record.a for record in built if record.a == 0] and records
     assert quartics == [0] * len(zero_candidates(q))
     assert records.count(0) == len(zero_candidates(q)) - (q == 25)  # (0, -25) is Outside: 5 is 2 mod 3
     assert len(with_mirrors(built)) == 2 * len(built) - records.count(0)
