@@ -48,15 +48,7 @@ class PointBounds(NamedTuple):
 
 def _interval(center: int, radius: int, family: BoundFamily, note: str | None = None) -> PointBounds:
     raw_lo = center - radius
-    return PointBounds(
-        lo=max(0, raw_lo),
-        hi=center + radius,
-        center=center,
-        radius=radius,
-        family=family,
-        raw_lo=raw_lo,
-        note=note,
-    )
+    return PointBounds(max(0, raw_lo), center + radius, center, radius, family, raw_lo, note)
 
 
 def genus_bounds_on_surface(q: int, a: int, p_a: int) -> PointBounds:

@@ -17,14 +17,18 @@ decided here by three exact integer inequalities:
     a^2 - 4b + 8q >= 0
 
 All arithmetic is plain Python integer arithmetic, hence exact.
-factorize is blocked trial division: it takes one gcd of the unfactored
-part m against the product of each run of 32 primes (cached per
-power-of-two bound), divides by a run's primes only when that gcd
-exceeds 1, and stops at the first run whose first prime p has p^2 > m.
-It is exact because every prime below p has been divided out by then,
-so m < p^2 is 1 or a prime.  It accepts 1 <= n < 2^40 and raises
-ValueError beyond, before any sieve or product is built, so a q that
-large is refused by make_weil_quartic.  squarefree_part does not
+factorize is blocked trial division over runs of 32 primes, grouped 8
+runs at a time (both products cached per power-of-two bound).  It takes
+one gcd of the unfactored part m against a group's product and skips
+the group's runs when that gcd is 1; otherwise it takes one gcd per run
+and divides by a run's primes only when that gcd exceeds 1.  It stops
+at the first run or group whose first prime p has p^2 > m.  It is exact
+because a skipped group holds no prime factor of m, and every prime
+below p has been divided out by then, so m < p^2 is 1 or a prime.  A
+prime q < 1621^2 costs one gcd: 1621 is the first prime of the second
+group.  It accepts 1 <= n < 2^40 and raises ValueError beyond, before
+any sieve or product is built, so a q that large is refused by
+make_weil_quartic.  squarefree_part does not
 trial-divide: it takes gcds of n against the product of the primes up
 to the cube root of |n| (a primorial, cached per power-of-two bound),
 and accepts 0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so
@@ -140,9 +144,12 @@ def _primorial(limit: int) -> int:
     return _product(_small_primes(limit))
 
 
-# primes per block of factorize: one gcd against the product of 32 primes
+# primes per run of factorize: one gcd against the product of 32 primes
 # costs a fraction of 32 divisions
 _BLOCK = 32
+# runs per group of factorize: one gcd against the product of a group's 8 runs
+# skips them all when m has no prime factor there
+_GROUP = 8
 
 
 @lru_cache(maxsize=None)
@@ -152,32 +159,49 @@ def _block_products(limit: int) -> tuple[int, ...]:
     return tuple(prod(primes[start : start + _BLOCK]) for start in range(0, len(primes), _BLOCK))
 
 
+@lru_cache(maxsize=None)
+def _group_products(limit: int) -> tuple[int, ...]:
+    """The product of each group of _GROUP consecutive runs of ``_block_products(limit)``, ascending."""
+    runs = _block_products(limit)
+    return tuple(prod(runs[start : start + _GROUP]) for start in range(0, len(runs), _GROUP))
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}, primes ascending.
 
     Blocked trial division: the primes up to ``trial_limit(n)`` are taken
-    in runs of _BLOCK, and m, the part of n not yet factored, is divided
-    by a run's primes only when gcd(m, product of the run) > 1.  The walk stops
-    at the first run whose first prime p has p^2 > m.  Every prime below
+    in runs of _BLOCK, and the runs in groups of _GROUP.  Let m be the
+    part of n not yet factored.  At the start of a group, one gcd of m
+    against the group's product skips all of its runs when it is 1;
+    otherwise m is divided by a run's primes only when gcd(m, product of
+    the run) > 1.  A gcd of 1 shows that m has no prime factor among the
+    primes it covers, so skipping them loses none.  The walk stops at the
+    first run or group whose first prime p has p^2 > m.  Every prime below
     p is divided out by then, so m < p^2 is 1 or a prime; past the last
     run every prime up to the limit, which exceeds sqrt(n), is divided
     out, so the same holds.
     """
     limit = trial_limit(n)
     primes = _small_primes(limit)
+    runs = _block_products(limit)
+    groups = _group_products(limit)
     factors: dict[int, int] = {}
     m = n
-    start = 0
-    for block in _block_products(limit):
+    run = 0
+    while run < len(runs):
+        start = run * _BLOCK
         first = primes[start]
         if first * first > m:
             break
-        if gcd(m, block) > 1:
+        if run % _GROUP == 0 and gcd(m, groups[run // _GROUP]) == 1:
+            run += _GROUP
+            continue
+        if gcd(m, runs[run]) > 1:
             for p in primes[start : start + _BLOCK]:
                 while m % p == 0:
                     factors[p] = factors.get(p, 0) + 1
                     m //= p
-        start += _BLOCK
+        run += 1
     if m > 1:
         factors[m] = 1
     return factors
@@ -303,7 +327,7 @@ def make_weil_quartic(q: int, a: int, b: int) -> WeilQuartic:
     failure = weil_validity_failure(q, a, b)
     if failure is not None:
         raise NotWeil(f"(q={q}, a={a}, b={b}): {failure}")
-    return WeilQuartic(q=q, p=p, r=r, a=a, b=b)
+    return WeilQuartic._make((q, p, r, a, b))
 
 
 def fplus_discriminant(f: WeilQuartic) -> int:
@@ -337,10 +361,13 @@ def is_irreducible_over_Q(f: WeilQuartic) -> bool:
 # carry a leading 'a' marker: enc(0) = "a", enc(11) = "l", enc(-11) = "al".
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-# the text render_label writes, matched with fullmatch; [0-9] is ASCII only
-_LABEL = re.compile(r"2\.([^.]*)\.([^._]*)_([^._]*)")
+# the parts of the text render_label writes, matched with fullmatch; [0-9] is ASCII only
 _FIELD_SIZE = re.compile(r"0|[1-9][0-9]*")
 _COEFFICIENT = re.compile(r"a|a?[b-z][a-z]*")
+# the whole text from those parts: one match accepts a label
+_LABEL = re.compile(rf"2\.({_FIELD_SIZE.pattern})\.({_COEFFICIENT.pattern})_({_COEFFICIENT.pattern})")
+# the form alone, which splits a rejected text into its parts to word the error
+_FORM = re.compile(r"2\.([^.]*)\.([^._]*)_([^._]*)")
 
 
 # the two-digit codes of 0 .. 26^2 - 1, so that one divmod takes two digits
@@ -391,22 +418,34 @@ def label_coefficients(text: str) -> tuple[int, int, int]:
 
     Only the canonical text is accepted, so a label renders back to the
     same text: q is ASCII decimal with no leading zero, and each
-    coefficient code has no leading zero digit.  Nothing is factorised
-    or validated, so a caller can bound q first.
+    coefficient code has no leading zero digit.  One match of the whole
+    grammar decides acceptance; the piecewise checks of
+    ``_malformed_label`` run only for a rejected text, to word the error.
+    Nothing is factorised or validated, so a caller can bound q first.
     """
     match = _LABEL.fullmatch(text)
+    if match is not None:
+        q_text, a_code, b_code = match.groups()
+        try:
+            return int(q_text), _decode_coefficient(a_code), _decode_coefficient(b_code)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            pass
+    raise _malformed_label(text)
+
+
+def _malformed_label(text: str) -> MalformedLabel:
+    # the error for a text that _LABEL rejects, or whose parts are too long to convert:
+    # the form, then the field size, then each coefficient code, names the first bad part
+    match = _FORM.fullmatch(text)
     if match is None:
-        raise MalformedLabel(f"label {_quote(text)} is not of the form 2.<q>.<enc(a)>_<enc(b)>")
+        return MalformedLabel(f"label {_quote(text)} is not of the form 2.<q>.<enc(a)>_<enc(b)>")
     q_text, *codes = match.groups()
     if _FIELD_SIZE.fullmatch(q_text) is None:
-        raise MalformedLabel(f"label {_quote(text)} has a field size that is not ASCII decimal without a leading zero")
+        return MalformedLabel(f"label {_quote(text)} has a field size that is not ASCII decimal without a leading zero")
     for code in codes:
         if _COEFFICIENT.fullmatch(code) is None:
-            raise MalformedLabel(f"coefficient code {_quote(code)} is not lower-case base 26 without a leading zero digit")
-    try:
-        return int(q_text), *(_decode_coefficient(code) for code in codes)
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise MalformedLabel(f"label {_quote(text)} has a field size or coefficient code too long to convert") from None
+            return MalformedLabel(f"coefficient code {_quote(code)} is not lower-case base 26 without a leading zero digit")
+    return MalformedLabel(f"label {_quote(text)} has a field size or coefficient code too long to convert")
 
 
 def parse_label(text: str) -> WeilQuartic:

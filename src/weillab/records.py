@@ -78,7 +78,8 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
         split2 = _split2_of(f, delta, d) if kind.is_irreducible_family else None
         key = (kind, split2, f.p == 2, f.a == 0)
         lead, rest = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
-    return ClassRecord(f.q, f.p, f.r, f.a, f.b, render_label(f), *lead, delta, c, d, *rest)
+    # f is (q, p, r, a, b), the record's first five cells
+    return ClassRecord._make((*f, render_label(f), *lead, delta, c, d, *rest))
 
 
 def _filled_cells(key: tuple, f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:

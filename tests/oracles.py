@@ -263,6 +263,35 @@ def base26_code(n: int) -> str:
     return code if n > 0 else "a" + code
 
 
+def oracle_is_label(text: str) -> bool:
+    """Whether text is in the label grammar, checked part by part with str methods.
+
+    "2.<q>.<a code>_<b code>": q is ASCII decimal without a leading zero
+    (so "0" itself is allowed), and a code is "a" or an optional sign
+    marker "a" followed by lower-case ASCII letters, the first not "a".
+    """
+    if not text.startswith("2."):
+        return False
+    fields = text[2:].split(".")
+    if len(fields) != 2:
+        return False
+    q_text, codes_text = fields
+    codes = codes_text.split("_")
+    if len(codes) != 2:
+        return False
+    decimal = q_text != "" and all(ch in "0123456789" for ch in q_text)
+    if not decimal or (q_text[0] == "0" and q_text != "0"):
+        return False
+    return all(_oracle_is_code(code) for code in codes)
+
+
+def _oracle_is_code(code: str) -> bool:
+    if code == "a":
+        return True
+    digits = code[1:] if code.startswith("a") else code
+    return digits != "" and digits[0] != "a" and all("a" <= ch <= "z" for ch in digits)
+
+
 # ---------------------------------------------------------------------------
 # divisor-loop factorisation
 

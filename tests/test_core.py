@@ -197,7 +197,8 @@ def check_factorize(n):
     assert list(factors) == sorted(factors)
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples, or more under a deeper Hypothesis profile (tests/conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.integers(1, 10**7))
 def test_factorize_matches_oracle(n):
     check_factorize(n)
@@ -210,6 +211,10 @@ def test_factorize_matches_oracle(n):
         137,  # the 33rd prime, first of the second block
         131 * 137,
         137**2,
+        1619,  # the 256th prime, last of the first group of 8 blocks
+        1621,  # the 257th prime, first of the second group
+        1619 * 1621,
+        1621**2,
         2**39,
         3**25,
         1048573**2,  # 1048573 < 2^20 is prime
@@ -227,10 +232,11 @@ def test_factorize_at_block_edges_and_near_the_ceiling(n):
 
 def test_trial_division_ceiling_raises_before_any_sieve(monkeypatch):
     def refuse(limit):
-        raise AssertionError(f"a sieve or block product up to {limit} was built")
+        raise AssertionError(f"a sieve, block product or group product up to {limit} was built")
 
     monkeypatch.setattr("weillab.core._small_primes", refuse)
     monkeypatch.setattr("weillab.core._block_products", refuse)
+    monkeypatch.setattr("weillab.core._group_products", refuse)
     with pytest.raises(ValueError, match="2\\^40"):
         factorize(2**40)
     with pytest.raises(ValueError, match="2\\^44"):
@@ -321,7 +327,9 @@ def test_parse_label_malformed(text):
     [
         ("2.2.zz", "label '2.2.zz' is not of the form 2.<q>.<enc(a)>_<enc(b)>"),
         ("2.007.a_ab", "label '2.007.a_ab' has a field size that is not ASCII decimal without a leading zero"),
+        ("2.2.aa_ab", "coefficient code 'aa' is not lower-case base 26 without a leading zero digit"),
         ("2.2.a_a1", "coefficient code 'a1' is not lower-case base 26 without a leading zero digit"),
+        ("2.2.aa_a1", "coefficient code 'aa' is not lower-case base 26 without a leading zero digit"),
         ("2.7.b" + "z" * 43, "label '2.7.b" + "z" * 43 + "' is not of the form 2.<q>.<enc(a)>_<enc(b)>"),
         (
             "2.7.b" + "z" * 44,
@@ -332,11 +340,31 @@ def test_parse_label_malformed(text):
             "coefficient code 'aa" + "z" * 46 + "'... (5000 characters) is not lower-case base 26 without a leading zero digit",
         ),
         (
+            "2." + "1" * 5000 + ".a_a",
+            "label '2." + "1" * 46 + "'... (5006 characters) has a field size or coefficient code too long to convert",
+        ),
+        (
+            "2.7.b" + "z" * 4999 + "_a",
+            "label '2.7.b" + "z" * 43 + "'... (5006 characters) has a field size or coefficient code too long to convert",
+        ),
+        (
             "2.7.a_ab" + "z" * 99998,
             "label '2.7.a_ab" + "z" * 40 + "'... (100006 characters) has a field size or coefficient code too long to convert",
         ),
     ],
-    ids=["form", "field-size", "code", "48-characters", "49-characters", "code-of-5000-letters", "code-of-100000-letters"],
+    ids=[
+        "form",
+        "field-size",
+        "a-code",
+        "code",
+        "a-code-named-first",
+        "48-characters",
+        "49-characters",
+        "code-of-5000-letters",
+        "q-too-long",
+        "a-code-too-long",
+        "code-of-100000-letters",
+    ],
 )
 def test_malformed_label_quotes_at_most_48_characters(text, message):
     # a label of up to 48 characters is quoted whole; a longer text is cut, with its length

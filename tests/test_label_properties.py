@@ -2,8 +2,9 @@
 
 Labels and valid classes are in bijection: every valid class renders to
 a label that parses back to it, the structural parser raises nothing
-but MalformedLabel on any text, and every text it accepts is the
-canonical rendering of what it decoded.
+but MalformedLabel on any text, it accepts exactly the texts of the
+label grammar as tests/oracles.py restates it, and every text it
+accepts is the canonical rendering of what it decoded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from weillab import MalformedLabel, WeilQuartic, make_weil_quartic, parse_label, render_label
 from weillab.core import label_coefficients
 
+from oracles import oracle_is_label
 from strategies import weil_pairs
 
 PRIMES = [n for n in range(2, 1000) if all(n % k for k in range(2, isqrt(n) + 1))]
@@ -50,6 +52,18 @@ def test_label_coefficients_raises_only_malformed_label(text):
         label_coefficients(text)
     except MalformedLabel:
         pass
+
+
+@settings(deadline=None)
+@given(LABEL_LIKE)
+def test_label_coefficients_accepts_exactly_the_label_grammar(text):
+    try:
+        label_coefficients(text)
+    except MalformedLabel:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == oracle_is_label(text)
 
 
 @settings(deadline=None)
