@@ -5,8 +5,9 @@ companion-matrix characteristic polynomial instead of the closed base
 change formulas, floating root moduli instead of integer inequalities,
 a division-only squarefree search instead of factorisation, a plain
 divisor loop instead of blocked trial division, the 2-adic
-class of a discriminant instead of its squarefree part, and list based
-GF(2) arithmetic instead of bit masks.
+class of a discriminant instead of its squarefree part, list based
+GF(2) arithmetic instead of bit masks, and str methods instead of
+regular expressions for the label grammar.
 """
 
 from __future__ import annotations
