@@ -224,12 +224,11 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
     # the a > 0 with a^2 < q and q - a^2 = 1 (mod 6), in increasing order; x = 6 stands for residue 0
     candidates = sorted(a for x in range(1, 7) if (q - x * x) % 6 == 1 for a in range(x, isqrt(q - 1) + 1, 6))
     product = _primorial_not_1_mod_3(trial_limit(q))
-    for a in [a for a in candidates if gcd(q - a * a, product) == 1]:
-        f = WeilQuartic(q, p, r, a, a * a - q)
-        failure = weil_validity_failure(q, a, f.b)
-        if failure is not None:
-            raise InternalInvariantError(f"family A candidate {f} left the Weil region: {failure}")
-        members.append((f, _PIRR_A))
+    kept = [a for a in candidates if gcd(q - a * a, product) == 1]
+    for a in kept:
+        if (failure := weil_validity_failure(q, a, a * a - q)) is not None:
+            raise InternalInvariantError(f"family A candidate {WeilQuartic(q, p, r, a, a * a - q)} left the Weil region: {failure}")
+    members += [(WeilQuartic._make((q, p, r, a, a * a - q)), _PIRR_A) for a in kept]
     return members
 
 

@@ -194,8 +194,8 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
         raise ValueError(f"q='{q_max}' exceeds the safe bound {SAFE_BOUND}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    kinds: Counter = Counter()
-    genus3: Counter = Counter()
+    # (class_kind, genus3_exists, weight) -> records; a record with a != 0 stands for a pair
+    tally: Counter = Counter()
     table = args.format == "table"
     # each q's records are written and dropped before the next q; the table format
     # spools each q's rows, their cells tab-joined, and keeps the widest cell of each
@@ -217,16 +217,18 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
                 spool.writelines("\t".join(cells) + "\n" for cells in rows)
             else:
                 sink.write("".join(pair_lines(records, args.format)))
-            for record in records:
-                weight = 2 if record.a else 1
-                kinds[record.class_kind] += weight
-                genus3[record.genus3_exists] += weight
+            tally.update([(record.class_kind, record.genus3_exists, 2 if record.a else 1) for record in records])
         if table:
             widths = [len(cell) for cell in widest]
             spool.seek(0)
             sink.write(table_line(TABLE_COLUMNS, widths))
             sink.writelines(table_line(line[:-1].split("\t"), widths) for line in spool)
 
+    kinds: Counter = Counter()
+    genus3: Counter = Counter()
+    for (kind, genus3_exists, weight), count in tally.items():
+        kinds[kind] += weight * count
+        genus3[genus3_exists] += weight * count
     summary = _summary_line(q_min, q_max, kinds, genus3)
     if table and args.output is None:
         out.write(summary + "\n")

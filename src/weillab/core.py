@@ -30,7 +30,7 @@ group.  It accepts 1 <= n < 2^40 and raises ValueError beyond, before
 any sieve or product is built, so a q that large is refused by
 make_weil_quartic.  squarefree_part does not
 trial-divide: it takes gcds of n against the product of the primes up
-to the cube root of |n| (a primorial, cached per power-of-two bound),
+to the cube root of |n| (a primorial, cached per bit length of |n|),
 and accepts 0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so
 every class make_weil_quartic accepts builds a record.  Of the command
 line subcommands, only ``enumerate`` refuses q above a safe bound.
@@ -138,12 +138,6 @@ def _product(values: Sequence[int]) -> int:
     return _product(values[:half]) * _product(values[half:])
 
 
-@lru_cache(maxsize=None)
-def _primorial(limit: int) -> int:
-    """The product of all primes <= limit; limit >= 2."""
-    return _product(_small_primes(limit))
-
-
 # primes per run of factorize: one gcd against the product of 32 primes
 # costs a fraction of 32 divisions
 _BLOCK = 32
@@ -247,27 +241,40 @@ def prime_powers_in_range(lo: int, hi: int) -> list[int]:
     return sorted(found)
 
 
+# bit length of m = |n| -> the product of the primes up to B, the least power of two
+# with B^3 > m, that squarefree_part takes its first gcd against; 0 until first used
+_LAYER_PRIMORIALS = [0] * 45
+
+
+def _layer_primorial(bits: int) -> int:
+    # B = 2^k with 3k >= bits is the least power of two with B^3 > m
+    primorial = _LAYER_PRIMORIALS[bits] = _product(_small_primes(1 << -(-bits // 3)))
+    return primorial
+
+
 def squarefree_part(n: int) -> tuple[int, int]:
     """Decompose n != 0 as n = c^2 * d with c > 0 and d squarefree.
 
     The sign of d equals the sign of n, e.g. squarefree_part(48) == (4, 3)
     and squarefree_part(-48) == (4, -3).  Accepts 0 < |n| < 2^44, which
-    holds every disc(f+) <= 16q with q < 2^40.
+    holds every disc(f+) <= 16q with q < 2^40; the bit length of |n|
+    shows that bound, and picks the prime product below.
 
     Let P be the product of the primes up to B, the least power of two
-    with B^3 > |n|.  The layers a_1 = gcd(|n|, P) and a_{k+1} =
-    gcd(|n| / (a_1...a_k), a_k) hold the primes up to B whose exponent
-    is at least k, so the part of |n| over those primes is
-    (a_2 a_4 ...)^2 * (a_1/a_2 * a_3/a_4 ...).  What is left has every
-    prime factor above B, hence at most two of them, and is a square
-    exactly when it is 1 or a prime squared.
+    with B^3 > |n|, looked up by the bit length of |n|.  The layers a_1 =
+    gcd(|n|, P) and a_{k+1} = gcd(|n| / (a_1...a_k), a_k) hold the primes
+    up to B whose exponent is at least k, so the part of |n| over those
+    primes is (a_2 a_4 ...)^2 * (a_1/a_2 * a_3/a_4 ...).  What is left has
+    every prime factor above B, hence at most two of them, and is a
+    square exactly when it is 1 or a prime squared.
     """
     if n == 0:
         raise ValueError("squarefree_part of 0 is undefined")
-    m = abs(n)
-    _require_below(m, 44)
-    # B = 2^k with 3k >= bit_length(m) is the least power of two with B^3 > m
-    layer = gcd(m, _primorial(1 << -(-m.bit_length() // 3)))
+    m = -n if n < 0 else n
+    bits = m.bit_length()
+    if bits > 44:
+        _require_below(m, 44)  # raises
+    layer = gcd(m, _LAYER_PRIMORIALS[bits] or _layer_primorial(bits))
     c = d = 1
     odd = True
     while layer > 1:

@@ -16,7 +16,15 @@ from functools import cache
 from typing import NamedTuple
 
 from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
-from .core import InternalInvariantError, WeilQuartic, fplus_discriminant, is_irreducible_over_Q, render_label, squarefree_part
+from .core import (
+    InternalInvariantError,
+    WeilQuartic,
+    fplus_discriminant,
+    is_irreducible_over_Q,
+    render_label,
+    squarefree_part,
+    _encode_coefficient,
+)
 from .two_adic import _split2_of, two_adic_data
 from .verdict import curve_shape_constraints, genus3_verdict
 
@@ -129,26 +137,30 @@ def records_for_q(q: int) -> list[ClassRecord]:
     The a = 0 members, one to four of varied kinds, come first, and
     :func:`build_record` builds their records.  The a > 0 members are all
     family A, share q, p and r and differ only in a, b and how 2 splits
-    in K+, so their records are built from per-q parts, as
-    :func:`build_record` would build them: per record the label, delta
-    = c^2 * d from one squarefree decomposition, and the splitting of 2
-    from d, with the member checks of ``_split2_of``; the class cells
-    once per splitting of 2 at q, under :func:`build_record`'s class key.
+    in K+, so their records are built as :func:`build_record` would build
+    them from what is derived once per q, the label prefix ``2.<q>.``,
+    and once per (q, splitting of 2), the class cells under
+    :func:`build_record`'s class key.  Per record what is left is the
+    codes of a and b, delta = c^2 * d from one squarefree decomposition,
+    the splitting of 2 from d, with the member checks of ``_split2_of``,
+    and one tuple of the record's cells.
     """
     classes = enumerate_classes(q)
     records = [build_record(f, kind) for f, kind in classes if f.a == 0]
+    prefix = f"2.{q}."
     at_q = {}  # splitting of 2 in K+ -> the class cells of the a > 0 members at q
     for f, kind in classes[len(records) :]:
+        _, p, r, a, b = f
         delta = fplus_discriminant(f)
         c, d = squarefree_part(delta)
         split2 = _split2_of(f, delta, d)
         cells = at_q.get(split2)
         if cells is None:
-            key = (kind, split2, f.p == 2, False)
+            key = (kind, split2, p == 2, False)
             cells = at_q[split2] = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
         lead, rest = cells
-        # f is (q, p, r, a, b), the record's first five cells
-        records.append(ClassRecord._make((*f, render_label(f), *lead, delta, c, d, *rest)))
+        label = f"{prefix}{_encode_coefficient(a)}_{_encode_coefficient(b)}"
+        records.append(ClassRecord._make((q, p, r, a, b, label, *lead, delta, c, d, *rest)))
     return records
 
 
@@ -200,32 +212,9 @@ def _run_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
 @cache
 def _class_text(lead: tuple, rest: tuple) -> tuple[tuple[str, str], tuple[str, str]]:
     # ((csv lead, csv rest), (json lead, json rest)) of a record's class-decided runs,
-    # one lookup per record
+    # one lookup per record that csv_row or to_json_line writes, and per (q, splitting
+    # of 2 in K+) in pair_lines
     return tuple(zip(_run_text(_LEAD_FIELDS, lead), _run_text(_REST_FIELDS, rest)))
-
-
-# A line is pre + a + mid + label + post: pre holds the cells before a, mid the cell b, and
-# post the cells after the label, newline included.  The two members of a pair (+-a, b)
-# share the three parts and differ in a and the label only, so the pair writer renders
-# the parts once per pair.
-
-
-def _csv_parts(record: ClassRecord) -> tuple[str, str, str]:
-    c = "" if record.c is None else record.c
-    d = "" if record.d is None else record.d
-    lead, rest = _class_text(record[_LEAD], record[_REST])[0]
-    return f"{record.q},{record.p},{record.r},", f",{record.b},", f",{lead},{record.fplus_disc},{c},{d},{rest}\n"
-
-
-def _json_parts(record: ClassRecord) -> tuple[str, str, str]:
-    c = "null" if record.c is None else record.c
-    d = "null" if record.d is None else record.d
-    lead, rest = _class_text(record[_LEAD], record[_REST])[1]
-    return (
-        f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": ',
-        f', "b": {record.b}, "label": "',
-        f'", {lead}, "fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {rest}}}\n',
-    )
 
 
 def csv_row(record: ClassRecord) -> str:
@@ -240,8 +229,13 @@ def csv_row(record: ClassRecord) -> str:
     value tuples, and 1 == True, so the bool columns must hold bool or
     None only.
     """
-    pre, mid, post = _csv_parts(record)
-    return f"{pre}{record.a}{mid}{record.label}{post}"
+    c = "" if record.c is None else record.c
+    d = "" if record.d is None else record.d
+    lead, rest = _class_text(record[_LEAD], record[_REST])[0]
+    return (
+        f"{record.q},{record.p},{record.r},{record.a},{record.b},{record.label},"
+        f"{lead},{record.fplus_disc},{c},{d},{rest}\n"
+    )
 
 
 def to_json_line(record: ClassRecord) -> str:
@@ -250,26 +244,60 @@ def to_json_line(record: ClassRecord) -> str:
     The label's characters need no JSON escape, and the class-decided
     cells are rendered by ``json.dumps`` once per distinct pair of runs.
     """
-    pre, mid, post = _json_parts(record)
-    return f"{pre}{record.a}{mid}{record.label}{post}"
+    c = "null" if record.c is None else record.c
+    d = "null" if record.d is None else record.d
+    lead, rest = _class_text(record[_LEAD], record[_REST])[1]
+    return (
+        f'{{"q": {record.q}, "p": {record.p}, "r": {record.r}, "a": {record.a}, "b": {record.b}, '
+        f'"label": "{record.label}", {lead}, "fplus_disc": {record.fplus_disc}, "c": {c}, "d": {d}, {rest}}}\n'
+    )
 
 
 def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
     """The ``fmt`` ("csv" or "json") lines of ``with_mirrors(records)``, in that order.
 
     ``records`` are one q's ``records_for_q``, or those of them that a
-    filter on a cell both members of a pair share keeps.  The parts of
-    each pair (+-a, b) are rendered once and written in two lines, as
-    :func:`with_mirrors` mirrors a record; a record with a = 0 has no
-    mirror and is written by :func:`csv_row` or :func:`to_json_line`.
+    filter on a cell both members of a pair share keeps.  A record with
+    a = 0 has no mirror and is written by :func:`csv_row` or
+    :func:`to_json_line`.  The a > 0 records share q, p and r, and, as
+    ``records_for_q`` builds them, their class cells once per splitting
+    of 2 in K+, so the text of the q head and the label prefix is
+    rendered once per q, and that of the class cells once per (q,
+    splitting of 2).  A pair (+-a, b) shares every other part of its
+    two lines but a and the label, whose mirror puts the sign marker
+    ``a`` in front of the codes of (a, b).
     """
-    parts = _csv_parts if fmt == "csv" else _json_parts
     single = csv_row if fmt == "csv" else to_json_line
-    pairs = [(record.a, record.label, *parts(record)) for record in records if record.a]
-    lines = [f"{pre}-{a}{mid}{_mirror_label(label)}{post}" for a, label, pre, mid, post in reversed(pairs)]
-    lines += [single(record) for record in records if not record.a]
-    lines += [f"{pre}{a}{mid}{label}{post}" for a, label, pre, mid, post in pairs]
-    return lines
+    lines = [single(record) for record in records if not record.a]
+    pairs = [record for record in records if record.a]
+    if not pairs:
+        return lines
+    q, p, r = pairs[0][:3]
+    prefix = f"2.{q}."
+    # one a > 0 record per splitting of 2 in K+ -> the fmt text of its class cells
+    first = {record.split2_Kplus: record for record in pairs}
+    texts = {split2: _class_text(record[_LEAD], record[_REST])[0 if fmt == "csv" else 1] for split2, record in first.items()}
+    if fmt == "csv":
+        head, b_sep, label_sep, c_sep, d_sep = f"{q},{p},{r},", ",", f",{prefix}", ",", ","
+        runs = {split2: (f",{lead},", f",{rest}\n") for split2, (lead, rest) in texts.items()}
+    else:
+        head, b_sep, label_sep, c_sep, d_sep = (
+            f'{{"q": {q}, "p": {p}, "r": {r}, "a": ', ', "b": ', f', "label": "{prefix}', ', "c": ', ', "d": '
+        )
+        runs = {split2: (f'", {lead}, "fplus_disc": ', f", {rest}}}\n") for split2, (lead, rest) in texts.items()}
+    # a line is head + a + mid + codes + post; a mirror's has -a and the codes after "a"
+    cut = len(prefix)
+    parts = []
+    for record in pairs:
+        before, after = runs[record.split2_Kplus]
+        parts.append((
+            record.a,
+            f"{b_sep}{record.b}{label_sep}",
+            record.label[cut:],
+            f"{before}{record.fplus_disc}{c_sep}{record.c}{d_sep}{record.d}{after}",
+        ))
+    mirrors = [f"{head}-{a}{mid}a{codes}{post}" for a, mid, codes, post in reversed(parts)]
+    return mirrors + lines + [f"{head}{a}{mid}{codes}{post}" for a, mid, codes, post in parts]
 
 
 TABLE_COLUMNS = (

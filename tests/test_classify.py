@@ -142,6 +142,22 @@ def test_classify_rejects_a_class_meeting_both_conditions(monkeypatch):
         classify(make_weil_quartic(9, 0, -9))
 
 
+def test_enumerate_classes_checks_each_a_member_against_the_weil_region(monkeypatch):
+    # the a > 0 members are proven inside the Weil region and built directly; the
+    # check of that proof still runs once for each member, and a failure names it
+    members = [f for f, _ in enumerate_classes(999983) if f.a > 0]
+    checked = []
+    last = members[-1]
+    monkeypatch.setattr(
+        sys.modules["weillab.classify"],
+        "weil_validity_failure",
+        lambda q, a, b: checked.append((q, a, b)) or ("forced" if a == last.a else None),
+    )
+    with pytest.raises(InternalInvariantError, match=f"a={last.a}, b={last.b}\\).*forced"):
+        enumerate_classes(999983)
+    assert checked == [(f.q, f.a, f.b) for f in members]
+
+
 def test_enumerate_sorted_and_duplicate_free():
     for q in prime_powers_up_to(SWEEP_LIMIT):
         pairs = [(f.a, f.b) for f, _ in enumerate_classes(q)]

@@ -406,22 +406,28 @@ def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("only_no_genus3", [False, True])
 def test_enumerate_summary_line_counts_the_written_records(capsys, only_no_genus3):
+    # a record with a != 0 counts for its pair and an a = 0 record for itself; the ranges
+    # hold small q with every a = 0 kind, q = 2^19, and large q up to the safe bound
     flags = ("--only-no-genus3",) if only_no_genus3 else ()
-    code, _, err = run_cli(capsys, "enumerate", "--q-min", "2", "--q-max", "100", "--format", "csv", *flags)
-    records = [
-        record
-        for q in prime_powers_in_range(2, 100)
-        for record in with_mirrors(records_for_q(q))
-        if not only_no_genus3 or record.genus3_exists is False
-    ]
-    kinds = Counter(record.class_kind for record in records)
-    genus3 = Counter(record.genus3_exists for record in records)
-    assert code == 0
-    assert err == (
-        f"summary q=2..100: records={len(records)} PirrA={kinds['PirrA']} PirrB={kinds['PirrB']} "
-        f"SpecialQ2={kinds['SpecialQ2']} SpecialQ3={kinds['SpecialQ3']} "
-        f"genus3_yes={genus3[True]} genus3_no={genus3[False]}\n"
-    )
+    for q_min, q_max in ((2, 100), (524200, 524400), (999000, 1000000)):
+        records = [
+            record
+            for q in prime_powers_in_range(q_min, q_max)
+            for record in with_mirrors(records_for_q(q))
+            if not only_no_genus3 or record.genus3_exists is False
+        ]
+        kinds = Counter(record.class_kind for record in records)
+        genus3 = Counter(record.genus3_exists for record in records)
+        summary = (
+            f"summary q={q_min}..{q_max}: records={len(records)} PirrA={kinds['PirrA']} PirrB={kinds['PirrB']} "
+            f"SpecialQ2={kinds['SpecialQ2']} SpecialQ3={kinds['SpecialQ3']} "
+            f"genus3_yes={genus3[True]} genus3_no={genus3[False]}\n"
+        )
+        for fmt, header in (("csv", 1), ("json", 0)):
+            code, out, err = run_cli(capsys, "enumerate", "--q-min", str(q_min), "--q-max", str(q_max), "--format", fmt, *flags)
+            assert code == 0
+            assert err == summary
+            assert out.count("\n") == header + len(records)
 
 
 def test_enumerate_byte_identical_across_runs_and_jobs(capsys):

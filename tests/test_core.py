@@ -187,6 +187,37 @@ def test_squarefree_part_matches_oracle(n, sign):
     assert squarefree_part(sign * n) == trial_squarefree(sign * n)
 
 
+def factored_squarefree(n: int) -> tuple[int, int]:
+    """(c, d) with n = c^2 * d, d squarefree, for n >= 1, from the prime exponents of trial_factorize."""
+    c = d = 1
+    for prime, exponent in trial_factorize(n).items():
+        c *= prime ** (exponent // 2)
+        d *= prime ** (exponent % 2)
+    return c, d
+
+
+@pytest.mark.parametrize("bits", range(1, 45))
+def test_squarefree_part_at_every_bit_length(bits):
+    # squarefree_part looks its prime product up by the bit length of |n|: the largest
+    # n of each length with a square factor, 72 = 2^3 * 3^2 from 7 bits on and 4 from 3
+    step = 72 if bits >= 7 else 4 if bits >= 3 else 1
+    n = ((1 << bits) - 1) // step * step
+    assert n.bit_length() == bits
+    # descending division is cheap up to 32 bits; these n have small enough factors for trial_factorize
+    c, d = trial_squarefree(n) if bits <= 32 else factored_squarefree(n)
+    assert squarefree_part(n) == (c, d)
+    assert squarefree_part(-n) == (c, -d)
+
+
+def test_squarefree_part_accepts_below_2_44_and_refuses_2_44():
+    n = 2**44 - 1  # 3 * 5 * 23 * 89 * 397 * 683 * 2113
+    assert squarefree_part(n) == factored_squarefree(n) == (1, n)
+    assert squarefree_part(-n) == (1, -n)
+    for n in (2**44, -(2**44)):
+        with pytest.raises(ValueError, match="2\\^44"):
+            squarefree_part(n)
+
+
 # ---------------------------------------------------------------------------
 # factorisation
 

@@ -30,6 +30,7 @@ from weillab import (
     genus3_verdict,
     is_irreducible_over_Q,
     make_weil_quartic,
+    render_label,
     squarefree_part,
     two_adic_data,
 )
@@ -134,6 +135,25 @@ def test_range_mode_derives_what_a_q_shares_once(monkeypatch, q):
     at_zero = sum(record.a == 0 for record in built)
     assert 0 < at_zero < len(built)
     assert counts == Counter(build_record=at_zero, prime_divisors_all_1_mod_3=int(q % 6 == 1), squarefree_part=len(built))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("q", [999983, 2**19])
+def test_range_mode_renders_what_a_q_and_its_splitting_of_2_share_once(monkeypatch, q, fmt):
+    # once the class keys are warm, only the a = 0 records render a label with
+    # render_label, in build_record, and look up their class text record by record, in the
+    # single-record writers; the a > 0 records take the label prefix once per q and their
+    # class text once per splitting of 2 in K+ (q = 2^19: the p = 2 class keys)
+    records.records_for_q(q)
+    counts = _count_calls(monkeypatch, records._class_text, render_label)
+    built = records.records_for_q(q)
+    lines = records.pair_lines(built, fmt)
+    at_zero = sum(record.a == 0 for record in built)
+    splittings = {record.split2_Kplus for record in built if record.a}
+    assert len(lines) == 2 * len(built) - at_zero
+    assert 0 < at_zero and len(splittings) < len(built) - at_zero
+    assert counts["_class_text"] <= len(splittings) + at_zero
+    assert counts["render_label"] == at_zero
 
 
 def test_a_kind_its_irreducibility_test_contradicts_fails_at_a_cold_class_key(monkeypatch):
