@@ -35,7 +35,8 @@ forces u = 0 there:
               the two specials.
 
 Everything else is reported as Outside with a short machine-readable
-reason.  The family B list, specials included, is ``_family_b_patterns``.
+reason.  The family B rule, specials included, is ``_family_b_kind``, for
+one b; ``_family_b_patterns`` lists the b it accepts at one q.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ class ClassKind(NamedTuple):
 _PIRR_A = ClassKind(Family.PIRR_A)
 _PIRR_B = {case: ClassKind(Family.PIRR_B, case) for case in (B_CASE_1_MINUS_2Q, B_CASE_2_MINUS_2Q, B_CASE_MINUS_Q)}
 _SPECIALS = {q: ClassKind(family, f"(q,b)=({q},{-2 * q})") for q, family in ((2, Family.SPECIAL_Q2), (3, Family.SPECIAL_Q3))}
+# the Outside kinds, one shared value per reason, as for the members
+_OUTSIDE_B_NOT_IN_LIST = ClassKind(Family.OUTSIDE, reason="b-not-in-weil-restriction-list")
+_OUTSIDE_NO_CONDITION = ClassKind(Family.OUTSIDE, reason="no-family-condition-matched")
+_OUTSIDE_B_NOT_NEGATIVE = ClassKind(Family.OUTSIDE, reason="b-not-negative")
+_OUTSIDE_PRIME_DIVISOR = ClassKind(Family.OUTSIDE, reason="prime-divisor-of-b-not-1-mod-3")
 
 
 @unique
@@ -136,42 +142,58 @@ def _primorial_not_1_mod_3(limit: int) -> int:
     return _product([p for p in _small_primes(limit) if p % 3 != 1])
 
 
+def _family_b_kind(q: int, p: int, r: int, b: int) -> ClassKind | None:
+    """The kind of the family B member (a = 0, b) at q = p^r, or None if b meets no pattern.
+
+    At q = 2, 2 - 2q = -q: the b = 2-2q pattern asks p > 2, so only the
+    b = -q pattern applies there.
+    """
+    if b == 1 - 2 * q:
+        return _PIRR_B[B_CASE_1_MINUS_2Q]
+    if b == 2 - 2 * q and p > 2:
+        return _PIRR_B[B_CASE_2_MINUS_2Q]
+    if b == -q:
+        q_is_square = r % 2 == 0
+        if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
+            return _PIRR_B[B_CASE_MINUS_Q]
+    if b == -2 * q:
+        return _SPECIALS.get(q)
+    return None
+
+
 def _family_b_patterns(q: int, p: int, r: int) -> dict[int, ClassKind]:
-    """The family B patterns met at q = p^r (with a = 0), as {b: the kind of its member}."""
-    patterns = {1 - 2 * q: _PIRR_B[B_CASE_1_MINUS_2Q]}
-    if p > 2:
-        patterns[2 - 2 * q] = _PIRR_B[B_CASE_2_MINUS_2Q]
-    q_is_square = r % 2 == 0
-    if (p % 12 == 11 and q_is_square) or (p == 3 and q_is_square) or (p == 2 and not q_is_square):
-        patterns[-q] = _PIRR_B[B_CASE_MINUS_Q]
-    if q in _SPECIALS:
-        patterns[-2 * q] = _SPECIALS[q]
-    return patterns
+    """The family B patterns met at q = p^r (with a = 0), as {b: the kind of its member}.
+
+    They are the b of the four patterns that ``_family_b_kind`` accepts.
+    """
+    return {b: kind for b in (1 - 2 * q, 2 - 2 * q, -q, -2 * q) if (kind := _family_b_kind(q, p, r, b)) is not None}
 
 
 def classify(f: WeilQuartic) -> ClassKind:
     """Place f in family A, family B, one of the two specials, or Outside.
 
     Outside classes also get their reason, from the first family A clause
-    they fail.  The two coefficient conditions are mutually exclusive, or
-    InternalInvariantError is raised.  A family B member's kind is the one
-    its matched pattern carries: it is (t^2-q)^2, a special, when b = -2q,
-    a family B pattern only at q = 2 and 3, and every other member is
-    irreducible, by the module's proof, so none is tested.  A family A
-    member never has b = -2q, which would need a^2 = -q.
+    they fail, as one shared kind per reason.  At a = 0 the family B kind
+    is that of b's pattern, by ``_family_b_kind``, with no table of q's
+    patterns built.  The two coefficient conditions are mutually
+    exclusive, or InternalInvariantError is raised.  A family B member's
+    kind is the one its matched pattern carries: it is (t^2-q)^2, a
+    special, when b = -2q, a family B pattern only at q = 2 and 3, and
+    every other member is irreducible, by the module's proof, so none is
+    tested.  A family A member never has b = -2q, which would need
+    a^2 = -q.
     """
-    b_kind = _family_b_patterns(f.q, f.p, f.r).get(f.b) if f.a == 0 else None
-    if f.a * f.a - f.b != f.q:
-        reason = "b-not-in-weil-restriction-list" if f.a == 0 else "no-family-condition-matched"
-    elif f.b >= 0:
-        reason = "b-not-negative"
-    elif prime_divisors_all_1_mod_3(-f.b):
+    q, p, r, a, b = f
+    b_kind = _family_b_kind(q, p, r, b) if a == 0 else None
+    if a * a - b != q:
+        return b_kind or (_OUTSIDE_B_NOT_IN_LIST if a == 0 else _OUTSIDE_NO_CONDITION)
+    if b >= 0:
+        return b_kind or _OUTSIDE_B_NOT_NEGATIVE
+    if prime_divisors_all_1_mod_3(-b):
         if b_kind is not None:
             raise InternalInvariantError(f"both conditions (a) and (b) match {f}")
         return _PIRR_A
-    else:
-        reason = "prime-divisor-of-b-not-1-mod-3"
-    return b_kind or ClassKind(Family.OUTSIDE, reason=reason)
+    return b_kind or _OUTSIDE_PRIME_DIVISOR
 
 
 def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:

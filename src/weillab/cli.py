@@ -24,7 +24,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
@@ -202,7 +201,12 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
     # column, then pads the rows on one read back
     widest = list(TABLE_COLUMNS)
     with nullcontext(out) if args.output is None else _open_output(args.output) as sink, ExitStack() as stack:
-        spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="")) if table else None
+        spool = None
+        if table:
+            # imported here: tempfile loads random, shutil, bz2 and lzma, which no other run needs
+            import tempfile
+
+            spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
         if args.format == "csv":
             sink.write(",".join(FIELD_NAMES) + "\n")
         # records_for_q holds the a >= 0 members of each pair (+-a, b), whose two records

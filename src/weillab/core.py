@@ -18,22 +18,23 @@ decided here by three exact integer inequalities:
 
 All arithmetic is plain Python integer arithmetic, hence exact.
 factorize is blocked trial division over runs of 32 primes, grouped 8
-runs at a time (both products cached per power-of-two bound).  It takes
-one gcd of the unfactored part m against a group's product and skips
-the group's runs when that gcd is 1; otherwise it takes one gcd per run
-and divides by a run's primes only when that gcd exceeds 1.  It stops
-at the first run or group whose first prime p has p^2 > m.  It is exact
+runs at a time (the primes and both products cached together, one entry
+per power-of-two bound, picked by the bit length of n).  It takes one
+gcd of the unfactored part m against a group's product and skips the
+group's runs when that gcd is 1; otherwise it takes one gcd per run and
+divides by a run's primes only when that gcd exceeds 1.  It stops at
+the first run or group whose first prime p has p^2 > m.  It is exact
 because a skipped group holds no prime factor of m, and every prime
 below p has been divided out by then, so m < p^2 is 1 or a prime.  A
 prime q < 1621^2 costs one gcd: 1621 is the first prime of the second
 group.  It accepts 1 <= n < 2^40 and raises ValueError beyond, before
 any sieve or product is built, so a q that large is refused by
-make_weil_quartic.  squarefree_part does not
-trial-divide: it takes gcds of n against the product of the primes up
-to the cube root of |n| (a primorial, cached per bit length of |n|),
-and accepts 0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so
-every class make_weil_quartic accepts builds a record.  Of the command
-line subcommands, only ``enumerate`` refuses q above a safe bound.
+make_weil_quartic.  squarefree_part does not trial-divide: it takes
+gcds of n against the product of the primes up to the cube root of |n|
+(a primorial, cached per bit length of |n|), and accepts
+0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so every class
+make_weil_quartic accepts builds a record.  Of the command line
+subcommands, only ``enumerate`` refuses q above a safe bound.
 """
 
 from __future__ import annotations
@@ -113,12 +114,15 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 def trial_limit(n: int) -> int:
     """A power of two above sqrt(n): the prime bound of trial division of 1 <= n < 2^40.
 
+    It is 2^k with k = ceil(b/2) for n of bit length b, since
+    n < 2^b <= 2^(2k); the bit length picks it, with no square root.
     Raises ValueError outside that range before any sieve or prime
-    product is built; a sieve to this bound has at most 2^21 entries.
+    product is built; a sieve to this bound has at most 2^20 entries.
     """
-    _require_below(n, 40)
-    # rounded up to a power of two so the caches keyed on it are reused
-    return 1 << (isqrt(n) + 1).bit_length()
+    bits = n.bit_length()
+    if n < 1 or bits > 40:
+        _require_below(n, 40)  # raises
+    return 1 << -(-bits // 2)
 
 
 def _require_below(n: int, bits: int) -> None:
@@ -146,39 +150,47 @@ _BLOCK = 32
 _GROUP = 8
 
 
-@lru_cache(maxsize=None)
-def _block_products(limit: int) -> tuple[int, ...]:
-    """The product of each run of _BLOCK consecutive primes <= limit, ascending."""
-    primes = _small_primes(limit)
-    return tuple(prod(primes[start : start + _BLOCK]) for start in range(0, len(primes), _BLOCK))
+# k -> factorize's (primes, runs, groups) up to the bound 2^k that trial_limit gives the
+# n of bit length 2k - 1 and 2k, one entry per bound; None until first used
+_TRIAL_TABLES: list = [None] * 21
 
 
-@lru_cache(maxsize=None)
-def _group_products(limit: int) -> tuple[int, ...]:
-    """The product of each group of _GROUP consecutive runs of ``_block_products(limit)``, ascending."""
-    runs = _block_products(limit)
-    return tuple(prod(runs[start : start + _GROUP]) for start in range(0, len(runs), _GROUP))
+def _trial_tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(primes, runs, groups) of factorize's walk up to 2^k, stored in _TRIAL_TABLES[k].
+
+    primes are those <= 2^k, ascending; runs[i] is the product of the
+    i-th run of _BLOCK consecutive primes, and groups[j] that of the j-th
+    group of _GROUP consecutive runs.
+    """
+    primes = _small_primes(1 << k)
+    runs = tuple(prod(primes[start : start + _BLOCK]) for start in range(0, len(primes), _BLOCK))
+    groups = tuple(prod(runs[start : start + _GROUP]) for start in range(0, len(runs), _GROUP))
+    tables = _TRIAL_TABLES[k] = (primes, runs, groups)
+    return tables
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}, primes ascending.
 
     Blocked trial division: the primes up to ``trial_limit(n)`` are taken
-    in runs of _BLOCK, and the runs in groups of _GROUP.  Let m be the
-    part of n not yet factored.  At the start of a group, one gcd of m
-    against the group's product skips all of its runs when it is 1;
-    otherwise m is divided by a run's primes only when gcd(m, product of
-    the run) > 1.  A gcd of 1 shows that m has no prime factor among the
-    primes it covers, so skipping them loses none.  The walk stops at the
-    first run or group whose first prime p has p^2 > m.  Every prime below
-    p is divided out by then, so m < p^2 is 1 or a prime; past the last
-    run every prime up to the limit, which exceeds sqrt(n), is divided
-    out, so the same holds.
+    in runs of _BLOCK, and the runs in groups of _GROUP; the primes and
+    both products are one entry of _TRIAL_TABLES, looked up by the
+    bound's exponent.  Let m be the part of n not yet factored.  At the
+    start of a group, one gcd of m against the group's product skips all
+    of its runs when it is 1; otherwise m is divided by a run's primes
+    only when gcd(m, product of the run) > 1.  A gcd of 1 shows that m
+    has no prime factor among the primes it covers, so skipping them
+    loses none.  The walk stops at the first run or group whose first
+    prime p has p^2 > m.  Every prime below p is divided out by then, so
+    m < p^2 is 1 or a prime; past the last run every prime up to the
+    limit, which exceeds sqrt(n), is divided out, so the same holds.
     """
-    limit = trial_limit(n)
-    primes = _small_primes(limit)
-    runs = _block_products(limit)
-    groups = _group_products(limit)
+    # the range check and bound of trial_limit, inline: this runs once per prime-power test
+    bits = n.bit_length()
+    if n < 1 or bits > 40:
+        _require_below(n, 40)  # raises
+    k = -(-bits // 2)
+    primes, runs, groups = _TRIAL_TABLES[k] or _trial_tables(k)
     factors: dict[int, int] = {}
     m = n
     run = 0
@@ -356,7 +368,17 @@ def is_irreducible_over_Q(f: WeilQuartic) -> bool:
     b = -2q-u^2, and 2q+b >= 0 forces u = 0.  A linear factor t - s has
     s = +-sqrt(q) rational, so 2s is a rational root of f+, as in the first case.
     """
-    return not (is_square(fplus_discriminant(f)) or (f.a == 0 and f.b == -2 * f.q))
+    return _irreducible(f.q, f.a, f.b, is_square(fplus_discriminant(f)))
+
+
+def _irreducible(q: int, a: int, b: int, square: bool) -> bool:
+    """:func:`is_irreducible_over_Q` of (q, a, b), told whether disc(f+) is a square.
+
+    A caller that holds disc(f+) = c^2 * d from ``squarefree_part`` knows
+    this without a second square root: disc(f+) >= 0 in the Weil region,
+    so it is a square exactly when it is 0 or d = 1.
+    """
+    return not (square or (a == 0 and b == -2 * q))
 
 
 # ---------------------------------------------------------------------------

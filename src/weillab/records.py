@@ -24,6 +24,7 @@ from .core import (
     render_label,
     squarefree_part,
     _encode_coefficient,
+    _irreducible,
 )
 from .two_adic import _split2_of, two_adic_data
 from .verdict import curve_shape_constraints, genus3_verdict
@@ -56,6 +57,9 @@ class ClassRecord(NamedTuple):
 FIELD_NAMES = ClassRecord._fields
 
 
+# the class_kind cell of an Outside record
+_OUTSIDE = Family.OUTSIDE.value
+
 # (kind, splitting of 2 in K+, p == 2, a == 0) of a family member -> its record cells
 # before and after (fplus_disc, c, d); kinds come from classify, which meets 14 keys
 # (tests/strategies.py CLASS_KEY_FIRST_MEMBERS)
@@ -72,22 +76,24 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     (2-adic data, :func:`genus3_verdict`, p-rank, curve shape) depend
     only on the kind, that splitting, whether p = 2 and whether a = 0,
     so they are derived once per such key.  The irreducible column is
-    tested once per class key, and checked against the kind; an Outside
-    class is tested per record.
+    tested once per class key, and checked against the kind.  An Outside
+    class reads it from the decomposition in hand, since delta >= 0 is a
+    square exactly when it is 0 or d = 1, by the criterion that
+    :func:`is_irreducible_over_Q` applies.
     """
     if kind is None:
         kind = classify(f)
-    delta = fplus_discriminant(f)
-    c, d = squarefree_part(delta) if delta != 0 else (None, None)
+    q, p, r, a, b = f
+    delta = a * a - 4 * (b - 2 * q)
+    c, d = squarefree_part(delta) if delta else (None, None)
     if kind.family is Family.OUTSIDE:
-        lead = (kind.family.value, None, None, is_irreducible_over_Q(f))
+        lead = (_OUTSIDE, None, None, _irreducible(q, a, b, d is None or d == 1))
         rest = (None,) * 7 + (f"reason={kind.reason}",)  # no 2-adic data and no verdict
     else:
         split2 = _split2_of(f, delta, d) if kind.is_irreducible_family else None
-        key = (kind, split2, f.p == 2, f.a == 0)
+        key = (kind, split2, p == 2, a == 0)
         lead, rest = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
-    # f is (q, p, r, a, b), the record's first five cells
-    return ClassRecord._make((*f, render_label(f), *lead, delta, c, d, *rest))
+    return ClassRecord._make((q, p, r, a, b, render_label(f), *lead, delta, c, d, *rest))
 
 
 def _filled_cells(key: tuple, f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:

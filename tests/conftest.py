@@ -2,7 +2,8 @@
 
 The default profile is Hypothesis' own.  ``deep`` runs many more
 examples per property; select it with ``--hypothesis-profile deep``, as
-the CI deep-fuzz step does for the label and factorisation properties.
+the CI deep-fuzz step does for the label, factorisation and record
+properties.
 """
 
 from hypothesis import settings

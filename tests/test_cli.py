@@ -875,3 +875,12 @@ def test_usage_error_exits_1():
         text=True,
     )
     assert result.returncode == 1
+
+
+def test_importing_the_cli_loads_no_tempfile():
+    # only enumerate --format table spools to a temporary file, and tempfile brings random,
+    # shutil, bz2 and lzma with it; -S keeps the site module's imports out of the check
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import weillab.cli; print('tempfile' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")

@@ -263,11 +263,10 @@ def test_factorize_at_block_edges_and_near_the_ceiling(n):
 
 def test_trial_division_ceiling_raises_before_any_sieve(monkeypatch):
     def refuse(limit):
-        raise AssertionError(f"a sieve, block product or group product up to {limit} was built")
+        raise AssertionError(f"a sieve or the run and group products up to {limit} were built")
 
     monkeypatch.setattr("weillab.core._small_primes", refuse)
-    monkeypatch.setattr("weillab.core._block_products", refuse)
-    monkeypatch.setattr("weillab.core._group_products", refuse)
+    monkeypatch.setattr("weillab.core._trial_tables", refuse)
     with pytest.raises(ValueError, match="2\\^40"):
         factorize(2**40)
     with pytest.raises(ValueError, match="2\\^44"):

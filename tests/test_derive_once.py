@@ -3,7 +3,9 @@
 The record's fields must equal what the single-function public calls
 give on their own, and one record of a family A or B member must make
 exactly one squarefree decomposition and no irreducibility test once
-its class key is warm.  Per record only the head is worked out, the
+its class key is warm; an Outside record makes the same, reading its
+irreducible cell from that decomposition, and classify builds no table
+of family B patterns for an a = 0 class.  Per record only the head is worked out, the
 discriminant c^2 * d of f+ for every kind, with d deciding the splitting
 of 2 in K+ for a family A or B member; the 2-adic data, the genus-3
 verdict, the irreducibility test and the other cells a class decides
@@ -35,7 +37,7 @@ from weillab import (
     two_adic_data,
 )
 from weillab import records
-from weillab.classify import Family, classify, prime_divisors_all_1_mod_3
+from weillab.classify import Family, _family_b_patterns, classify, prime_divisors_all_1_mod_3
 
 from oracles import oracle_split2, trial_squarefree
 from strategies import CLASS_KEY_FIRST_MEMBERS, family_members, kind_of
@@ -165,12 +167,42 @@ def test_a_kind_its_irreducibility_test_contradicts_fails_at_a_cold_class_key(mo
 
 
 def test_outside_record_tests_irreducibility_once(monkeypatch):
+    # the irreducible cell is read from the one squarefree decomposition of disc(f+)
     f = make_weil_quartic(7, 1, 1)
     counts = _count_calls(monkeypatch, squarefree_part, is_irreducible_over_Q)
     record = build_record(f)
     assert record.class_kind == "Outside"
     assert counts["squarefree_part"] == 1
-    assert counts["is_irreducible_over_Q"] == 1
+    assert counts["is_irreducible_over_Q"] == 0
+
+
+@pytest.mark.parametrize(
+    "q, a, b, expected",
+    [
+        (2, 0, -2, ClassKind(Family.PIRR_B, "b=-q")),  # 2 - 2q = -q: only the b = -q pattern applies
+        (2, 0, -3, ClassKind(Family.PIRR_B, "b=1-2q")),
+        (2, 0, -4, ClassKind(Family.SPECIAL_Q2, "(q,b)=(2,-4)")),
+        (7, 0, -12, ClassKind(Family.PIRR_B, "b=2-2q")),
+        (9, 0, -9, ClassKind(Family.PIRR_B, "b=-q")),
+        (7, 0, -7, ClassKind(Family.PIRR_A)),
+        (7, 0, -14, ClassKind(Family.OUTSIDE, reason="b-not-in-weil-restriction-list")),
+        (4, 0, -4, ClassKind(Family.OUTSIDE, reason="prime-divisor-of-b-not-1-mod-3")),
+    ],
+)
+def test_classify_at_a_0_builds_no_table_of_patterns(monkeypatch, q, a, b, expected):
+    f = make_weil_quartic(q, a, b)
+    counts = _count_calls(monkeypatch, _family_b_patterns)
+    assert classify(f) == expected
+    assert counts["_family_b_patterns"] == 0
+
+
+def test_classify_shares_one_outside_kind_per_reason():
+    pairs = [(7, 1, 1), (7, 2, 1), (7, 0, 3), (7, 0, 5), (4, 0, -4), (16, 0, -16), (7, 3, 2), (7, 3, 3)]
+    kinds = [classify(make_weil_quartic(*qab)) for qab in pairs]
+    assert all(kind.family is Family.OUTSIDE for kind in kinds)
+    by_reason = {kind.reason: kind for kind in kinds}
+    assert len(by_reason) == 4
+    assert all(kind is by_reason[kind.reason] for kind in kinds)
 
 
 @pytest.mark.parametrize(

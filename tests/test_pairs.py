@@ -94,10 +94,11 @@ def test_pairs_match_the_every_a_route_up_to_5000():
 @example(3**5)
 @example(3**12)
 @example(2401)
+# q = 4^5: trial_limit(q) = 2 * trial_limit(q - 1), so every a > 0 candidate is tested
+# against a longer prime product than its own bound takes
 @example(2**10)
 @example(2**19)
-# q = (2^k - 1)^2 with 2^k - 1 prime: trial_limit(q) = 2 * trial_limit(q - 1), so every
-# a > 0 candidate is tested against a longer prime product than its own bound takes
+# q = (2^k - 1)^2 with 2^k - 1 prime: the largest odd square of bit length 2k
 @example(9)
 @example(49)
 @example(961)
