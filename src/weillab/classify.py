@@ -232,7 +232,8 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
         2q + b = q + a^2 > 0 and (2q + b)^2 - 4a^2 q = (q - a^2)^2 >= 0;
         a^2 - 4b + 8q = 12q - 3a^2 > 0.
     So it is built directly, and ``weil_validity_failure`` only guards
-    that argument.
+    that argument.  One loop over the candidates, in increasing order,
+    makes each one's gcd and, for a kept one, its guard and its member.
     """
     p, r = require_prime_power(q)
     patterns = _family_b_patterns(q, p, r)
@@ -244,13 +245,19 @@ def enumerate_classes(q: int) -> list[tuple[WeilQuartic, ClassKind]]:
         elif b in patterns:
             raise InternalInvariantError(f"family B pattern {f} classified Outside: {kind.reason}")
     # the a > 0 with a^2 < q and q - a^2 = 1 (mod 6), in increasing order; x = 6 stands for residue 0
-    candidates = sorted(a for x in range(1, 7) if (q - x * x) % 6 == 1 for a in range(x, isqrt(q - 1) + 1, 6))
+    candidates = []
+    for x in range(1, 7):
+        if (q - x * x) % 6 == 1:
+            candidates += range(x, isqrt(q - 1) + 1, 6)
+    candidates.sort()
     product = _primorial_not_1_mod_3(trial_limit(q))
-    kept = [a for a in candidates if gcd(q - a * a, product) == 1]
-    for a in kept:
-        if (failure := weil_validity_failure(q, a, a * a - q)) is not None:
-            raise InternalInvariantError(f"family A candidate {WeilQuartic(q, p, r, a, a * a - q)} left the Weil region: {failure}")
-    members += [(WeilQuartic._make((q, p, r, a, a * a - q)), _PIRR_A) for a in kept]
+    for a in candidates:
+        b = a * a - q
+        if gcd(-b, product) == 1:
+            if (failure := weil_validity_failure(q, a, b)) is not None:
+                raise InternalInvariantError(f"family A candidate {WeilQuartic(q, p, r, a, b)} left the Weil region: {failure}")
+            # WeilQuartic._make without its Python frame and length check, which five fields meet
+            members.append((tuple.__new__(WeilQuartic, (q, p, r, a, b)), _PIRR_A))
     return members
 
 

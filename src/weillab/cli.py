@@ -27,6 +27,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
+from operator import attrgetter
 
 from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
@@ -34,6 +35,9 @@ from .core import InternalInvariantError, label_coefficients, make_weil_quartic,
 from .records import FIELD_NAMES, TABLE_COLUMNS, build_record, pair_lines, records_for_q, table_line, table_rows, to_json_line
 
 SAFE_BOUND = 10**6
+# the summary's tally key of a record, and its a, which is nonzero for a record that stands for a pair
+_KIND_GENUS3 = attrgetter("class_kind", "genus3_exists")
+_A = attrgetter("a")
 # bounds --family -> (calculator, the flags it takes after --q, in argument order); nonpp may omit --b
 _BOUNDS = {
     "general": (genus_bounds_on_surface, ("a", "pa")),
@@ -193,7 +197,8 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
         raise ValueError(f"q='{q_max}' exceeds the safe bound {SAFE_BOUND}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    # (class_kind, genus3_exists, weight) -> records; a record with a != 0 stands for a pair
+    # (class_kind, genus3_exists) -> members: one per record, and one more per record with
+    # a != 0, which stands for a pair
     tally: Counter = Counter()
     table = args.format == "table"
     # each q's records are written and dropped before the next q; the table format
@@ -221,7 +226,8 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
                 spool.writelines("\t".join(cells) + "\n" for cells in rows)
             else:
                 sink.write("".join(pair_lines(records, args.format)))
-            tally.update([(record.class_kind, record.genus3_exists, 2 if record.a else 1) for record in records])
+            tally.update(map(_KIND_GENUS3, records))
+            tally.update(map(_KIND_GENUS3, filter(_A, records)))
         if table:
             widths = [len(cell) for cell in widest]
             spool.seek(0)
@@ -230,9 +236,9 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
 
     kinds: Counter = Counter()
     genus3: Counter = Counter()
-    for (kind, genus3_exists, weight), count in tally.items():
-        kinds[kind] += weight * count
-        genus3[genus3_exists] += weight * count
+    for (kind, genus3_exists), count in tally.items():
+        kinds[kind] += count
+        genus3[genus3_exists] += count
     summary = _summary_line(q_min, q_max, kinds, genus3)
     if table and args.output is None:
         out.write(summary + "\n")

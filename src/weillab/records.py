@@ -19,7 +19,6 @@ from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes
 from .core import (
     InternalInvariantError,
     WeilQuartic,
-    fplus_discriminant,
     is_irreducible_over_Q,
     render_label,
     squarefree_part,
@@ -141,23 +140,28 @@ def records_for_q(q: int) -> list[ClassRecord]:
     member's record; :func:`pair_lines` writes them all.
 
     The a = 0 members, one to four of varied kinds, come first, and
-    :func:`build_record` builds their records.  The a > 0 members are all
-    family A, share q, p and r and differ only in a, b and how 2 splits
-    in K+, so their records are built as :func:`build_record` would build
-    them from what is derived once per q, the label prefix ``2.<q>.``,
-    and once per (q, splitting of 2), the class cells under
-    :func:`build_record`'s class key.  Per record what is left is the
-    codes of a and b, delta = c^2 * d from one squarefree decomposition,
-    the splitting of 2 from d, with the member checks of ``_split2_of``,
-    and one tuple of the record's cells.
+    :func:`build_record` builds their records, up to the first a > 0
+    member.  The a > 0 members are all family A, share q, p and r and
+    differ only in a, b and how 2 splits in K+, so one loop over them
+    builds their records as :func:`build_record` would build them from
+    what is derived once per q, the label prefix ``2.<q>.``, and once per
+    (q, splitting of 2), the class cells under :func:`build_record`'s
+    class key.  Per record what is left is the codes of a and b, delta =
+    a^2 - 4(b - 2q) = c^2 * d from the coefficients and one squarefree
+    decomposition, the splitting of 2 from d, with the member checks of
+    ``_split2_of``, and one tuple of the record's cells.
     """
     classes = enumerate_classes(q)
-    records = [build_record(f, kind) for f, kind in classes if f.a == 0]
+    records = []
+    for f, kind in classes:
+        if f.a:
+            break
+        records.append(build_record(f, kind))
     prefix = f"2.{q}."
     at_q = {}  # splitting of 2 in K+ -> the class cells of the a > 0 members at q
     for f, kind in classes[len(records) :]:
         _, p, r, a, b = f
-        delta = fplus_discriminant(f)
+        delta = a * a - 4 * (b - 2 * q)
         c, d = squarefree_part(delta)
         split2 = _split2_of(f, delta, d)
         cells = at_q.get(split2)
@@ -166,7 +170,9 @@ def records_for_q(q: int) -> list[ClassRecord]:
             cells = at_q[split2] = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
         lead, rest = cells
         label = f"{prefix}{_encode_coefficient(a)}_{_encode_coefficient(b)}"
-        records.append(ClassRecord._make((q, p, r, a, b, label, *lead, delta, c, d, *rest)))
+        # ClassRecord._make without its Python frame and length check; tests/test_pairs.py
+        # checks each such record against build_record's
+        records.append(tuple.__new__(ClassRecord, (q, p, r, a, b, label, *lead, delta, c, d, *rest)))
     return records
 
 
@@ -263,47 +269,56 @@ def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
     """The ``fmt`` ("csv" or "json") lines of ``with_mirrors(records)``, in that order.
 
     ``records`` are one q's ``records_for_q``, or those of them that a
-    filter on a cell both members of a pair share keeps.  A record with
-    a = 0 has no mirror and is written by :func:`csv_row` or
-    :func:`to_json_line`.  The a > 0 records share q, p and r, and, as
-    ``records_for_q`` builds them, their class cells once per splitting
-    of 2 in K+, so the text of the q head and the label prefix is
-    rendered once per q, and that of the class cells once per (q,
-    splitting of 2).  A pair (+-a, b) shares every other part of its
-    two lines but a and the label, whose mirror puts the sign marker
-    ``a`` in front of the codes of (a, b).
+    filter on a cell both members of a pair share keeps; any other
+    ``fmt`` raises ValueError.  One pass over the records writes each
+    line.  A record with a = 0 has no mirror and is written by
+    :func:`csv_row` or :func:`to_json_line`.  The a > 0 records come
+    last, share q, p and r, and, as ``records_for_q`` builds them, their
+    class cells once per splitting of 2 in K+, so the text of the q head
+    and the label prefix is rendered once per q, from the last record,
+    and that of the class cells once per (q, splitting of 2), at the
+    first record with that splitting.  A pair (+-a, b) shares every
+    other part of its two lines but a and the label, whose mirror puts
+    the sign marker ``a`` in front of the codes of (a, b).
     """
-    single = csv_row if fmt == "csv" else to_json_line
-    lines = [single(record) for record in records if not record.a]
-    pairs = [record for record in records if record.a]
-    if not pairs:
-        return lines
-    q, p, r = pairs[0][:3]
-    prefix = f"2.{q}."
-    # one a > 0 record per splitting of 2 in K+ -> the fmt text of its class cells
-    first = {record.split2_Kplus: record for record in pairs}
-    texts = {split2: _class_text(record[_LEAD], record[_REST])[0 if fmt == "csv" else 1] for split2, record in first.items()}
     if fmt == "csv":
+        single, which = csv_row, 0
+    elif fmt == "json":
+        single, which = to_json_line, 1
+    else:
+        raise ValueError(f"pair_lines writes csv or json, not {fmt!r}")
+    if not records or not records[-1].a:
+        return [single(record) for record in records]
+    q, p, r = records[-1][:3]
+    prefix = f"2.{q}."
+    cut = len(prefix)
+    if which == 0:
         head, b_sep, label_sep, c_sep, d_sep = f"{q},{p},{r},", ",", f",{prefix}", ",", ","
-        runs = {split2: (f",{lead},", f",{rest}\n") for split2, (lead, rest) in texts.items()}
     else:
         head, b_sep, label_sep, c_sep, d_sep = (
             f'{{"q": {q}, "p": {p}, "r": {r}, "a": ', ', "b": ', f', "label": "{prefix}', ', "c": ', ', "d": '
         )
-        runs = {split2: (f'", {lead}, "fplus_disc": ', f", {rest}}}\n") for split2, (lead, rest) in texts.items()}
     # a line is head + a + mid + codes + post; a mirror's has -a and the codes after "a"
-    cut = len(prefix)
-    parts = []
-    for record in pairs:
-        before, after = runs[record.split2_Kplus]
-        parts.append((
-            record.a,
-            f"{b_sep}{record.b}{label_sep}",
-            record.label[cut:],
-            f"{before}{record.fplus_disc}{c_sep}{record.c}{d_sep}{record.d}{after}",
-        ))
-    mirrors = [f"{head}-{a}{mid}a{codes}{post}" for a, mid, codes, post in reversed(parts)]
-    return mirrors + lines + [f"{head}{a}{mid}{codes}{post}" for a, mid, codes, post in parts]
+    mirrors, lines, pairs = [], [], []
+    runs = {}  # splitting of 2 in K+ -> the fmt text before and after (fplus_disc, c, d)
+    for record in records:
+        a = record.a
+        if not a:
+            lines.append(single(record))
+            continue
+        split2 = record.split2_Kplus
+        run = runs.get(split2)
+        if run is None:
+            lead, rest = _class_text(record[_LEAD], record[_REST])[which]
+            run = runs[split2] = (f",{lead},", f",{rest}\n") if which == 0 else (f'", {lead}, "fplus_disc": ', f", {rest}}}\n")
+        before, after = run
+        mid = f"{b_sep}{record.b}{label_sep}"
+        codes = record.label[cut:]
+        post = f"{before}{record.fplus_disc}{c_sep}{record.c}{d_sep}{record.d}{after}"
+        mirrors.append(f"{head}-{a}{mid}a{codes}{post}")
+        pairs.append(f"{head}{a}{mid}{codes}{post}")
+    mirrors.reverse()
+    return mirrors + lines + pairs
 
 
 TABLE_COLUMNS = (

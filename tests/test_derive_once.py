@@ -130,13 +130,17 @@ def test_range_mode_derives_what_a_q_shares_once(monkeypatch, q):
     # once the class keys are warm, only the a = 0 members go through build_record, and
     # through classify, which tests the prime divisors of q once when (0, -q) is a
     # candidate, as it is for every q = 1 (mod 6); the a > 0 candidates share one prime
-    # product, and each a > 0 record makes one squarefree decomposition
+    # product, and each a > 0 record makes one squarefree decomposition and takes delta
+    # from its coefficients, with no fplus_discriminant call
     records.records_for_q(q)
-    counts = _count_calls(monkeypatch, build_record, prime_divisors_all_1_mod_3, squarefree_part, is_irreducible_over_Q)
+    counts = _count_calls(
+        monkeypatch, build_record, prime_divisors_all_1_mod_3, squarefree_part, is_irreducible_over_Q, fplus_discriminant
+    )
     built = records.records_for_q(q)
     at_zero = sum(record.a == 0 for record in built)
     assert 0 < at_zero < len(built)
     assert counts == Counter(build_record=at_zero, prime_divisors_all_1_mod_3=int(q % 6 == 1), squarefree_part=len(built))
+    assert counts["fplus_discriminant"] == 0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -73,10 +73,23 @@ def check_pairs(q: int) -> None:
 
 
 def check_lines(built) -> None:
-    """pair_lines writes what the single-record writers write for every record, filtered or not."""
+    """pair_lines writes what the single-record writers write for every record, filtered or not.
+
+    Besides the records of one q and those a genus-3 filter keeps, the
+    order-preserving sub-lists are those with every record of one
+    splitting of 2 in K+ dropped, and the a > 0 records alone, so a
+    splitting's text is rendered at whichever record first has it.
+    """
     no_genus3 = [record for record in built if record.genus3_exists is False]
+    splittings = {record.split2_Kplus for record in built if record.a}
+    subsets = [
+        built,
+        [record for record in built if record.a],
+        *([record for record in built if record.split2_Kplus != split2] for split2 in splittings),
+    ]
     for fmt, line in (("csv", csv_row), ("json", to_json_line)):
-        assert pair_lines(built, fmt) == [line(record) for record in with_mirrors(built)]
+        for sub in subsets:
+            assert pair_lines(sub, fmt) == [line(record) for record in with_mirrors(sub)]
         assert pair_lines(no_genus3, fmt) == [
             line(record) for record in with_mirrors(built) if record.genus3_exists is False
         ]
@@ -105,6 +118,12 @@ def test_pairs_match_the_every_a_route_up_to_5000():
 @example(16129)
 def test_pairs_match_the_every_a_route_below_10_6(q):
     check_pairs(q)
+
+
+@pytest.mark.parametrize("fmt", ["xml", "table", "CSV", ""])
+def test_pair_lines_refuses_a_format_it_does_not_write(fmt):
+    with pytest.raises(ValueError, match=repr(fmt)):
+        pair_lines(records_for_q(7), fmt)
 
 
 def zero_candidates(q: int) -> set[int]:
