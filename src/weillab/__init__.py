@@ -5,16 +5,15 @@ decides whether a class contains a surface with a degree-4 polarisation
 (equivalently an irreducible curve of arithmetic genus 3), computes the
 2-adic field data driving that decision, and gives point-count
 intervals.  All computation is exact integer arithmetic.
+
+``import weillab`` loads the submodules ``core`` and ``classify``.  The
+other public names, and the submodules ``records``, ``bounds``,
+``two_adic``, ``verdict`` and ``cli``, are loaded on first use and then
+kept in the package namespace, so a command line run loads only the
+modules its subcommand needs.  ``weillab.classify`` is the function,
+not its submodule.
 """
 
-from .bounds import (
-    BoundFamily,
-    PointBounds,
-    genus_bounds_on_surface,
-    non_pp_bounds,
-    serre_weil_interval,
-    weil_restriction_bounds,
-)
 from .classify import (
     ClassKind,
     Family,
@@ -37,21 +36,6 @@ from .core import (
     parse_label,
     render_label,
     squarefree_part,
-)
-from .records import ClassRecord, build_record, records_for_q, with_mirrors
-from .two_adic import (
-    ConjugationTag,
-    DegenerateDiscriminant,
-    Shape2,
-    Split2,
-    TwoAdicData,
-    two_adic_data,
-)
-from .verdict import (
-    Genus3Verdict,
-    SPECIAL_Q3_WITNESS,
-    curve_shape_constraints,
-    genus3_verdict,
 )
 
 __version__ = "0.1.0"
@@ -97,3 +81,39 @@ __all__ = [
     "weil_restriction_bounds",
     "with_mirrors",
 ]
+
+# the submodules loaded on first use, each with the public names it defines
+_LAZY_MODULES = {
+    "bounds": (
+        "BoundFamily",
+        "PointBounds",
+        "genus_bounds_on_surface",
+        "non_pp_bounds",
+        "serre_weil_interval",
+        "weil_restriction_bounds",
+    ),
+    "records": ("ClassRecord", "build_record", "records_for_q", "with_mirrors"),
+    "two_adic": ("ConjugationTag", "DegenerateDiscriminant", "Shape2", "Split2", "TwoAdicData", "two_adic_data"),
+    "verdict": ("Genus3Verdict", "SPECIAL_Q3_WITNESS", "curve_shape_constraints", "genus3_verdict"),
+    "cli": (),
+}
+# public name -> its submodule
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A lazily loaded submodule or public name, kept in the namespace once loaded (PEP 562)."""
+    from importlib import import_module
+
+    if name in _LAZY_MODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _LAZY_NAMES:
+        value = getattr(import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})

@@ -14,13 +14,18 @@ however long the input it quotes.
 ``enumerate`` refuses q above the safe bound SAFE_BOUND = 10^6.  The
 single-class subcommands take every q the library factorises, q < 2^40:
 a larger q exits 1 before any sieve is built (``core.trial_limit``).
+
+A subcommand imports the modules that only it runs when it runs, so a
+cold process loads no more than it needs: ``label`` loads no weillab
+module beyond ``core`` and ``classify``, and neither ``csv`` nor
+``json``; ``classify`` and ``enumerate`` import ``records``, and
+``bounds`` imports ``bounds`` and ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import stat
 import sys
@@ -29,21 +34,20 @@ from collections.abc import Iterator
 from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
 from operator import attrgetter
 
-from .bounds import genus_bounds_on_surface, non_pp_bounds, serre_weil_interval, weil_restriction_bounds
 from .classify import Family
 from .core import InternalInvariantError, label_coefficients, make_weil_quartic, prime_powers_in_range, render_label
-from .records import FIELD_NAMES, TABLE_COLUMNS, build_record, pair_lines, records_for_q, table_line, table_rows, to_json_line
 
 SAFE_BOUND = 10**6
 # the summary's tally key of a record, and its a, which is nonzero for a record that stands for a pair
 _KIND_GENUS3 = attrgetter("class_kind", "genus3_exists")
 _A = attrgetter("a")
-# bounds --family -> (calculator, the flags it takes after --q, in argument order); nonpp may omit --b
+# bounds --family -> (its calculator in weillab.bounds, the flags it takes after --q, in
+# argument order); nonpp may omit --b
 _BOUNDS = {
-    "general": (genus_bounds_on_surface, ("a", "pa")),
-    "wres": (weil_restriction_bounds, ()),
-    "nonpp": (non_pp_bounds, ("b",)),
-    "serre": (serre_weil_interval, ("g",)),
+    "general": ("genus_bounds_on_surface", ("a", "pa")),
+    "wres": ("weil_restriction_bounds", ()),
+    "nonpp": ("non_pp_bounds", ("b",)),
+    "serre": ("serre_weil_interval", ("g",)),
 }
 
 
@@ -114,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_classify(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    from .records import build_record, to_json_line
+
     by_coeffs = args.q is not None or args.a is not None or args.b is not None
     by_label = args.label is not None
     if by_coeffs == by_label:
@@ -190,6 +196,8 @@ def _replace_on_success(path: str, mode: int | None) -> Iterator[io.TextIOBase]:
 
 
 def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    from .records import FIELD_NAMES, TABLE_COLUMNS, pair_lines, records_for_q, table_line, table_rows
+
     q_min, q_max = args.q_min, args.q_max
     if q_min < 2 or q_min > q_max:
         raise ValueError(f"need 2 <= q-min <= q-max, got {q_min}..{q_max}")
@@ -248,7 +256,12 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
 
 
 def _run_bounds(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    calculator, takes = _BOUNDS[args.family]
+    import json
+
+    from . import bounds
+
+    name, takes = _BOUNDS[args.family]
+    calculator = getattr(bounds, name)
     given = tuple(flag for flag in ("a", "pa", "g", "b") if getattr(args, flag) is not None)
     if given != takes and (args.family, given) != ("nonpp", ()):
         raise ValueError(f"--family {args.family} takes {' and '.join('--' + flag for flag in takes) or 'no flag'}")

@@ -25,15 +25,22 @@ group's runs when that gcd is 1; otherwise it takes one gcd per run and
 divides by a run's primes only when that gcd exceeds 1.  It stops at
 the first run or group whose first prime p has p^2 > m.  It is exact
 because a skipped group holds no prime factor of m, and every prime
-below p has been divided out by then, so m < p^2 is 1 or a prime.  A
-prime q < 1621^2 costs one gcd: 1621 is the first prime of the second
-group.  It accepts 1 <= n < 2^40 and raises ValueError beyond, before
-any sieve or product is built, so a q that large is refused by
-make_weil_quartic.  squarefree_part does not trial-divide: it takes
-gcds of n against the product of the primes up to the cube root of |n|
-(a primorial, cached per bit length of |n|), and accepts
-0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so every class
-make_weil_quartic accepts builds a record.  Of the command line
+below p has been divided out by then, so m < p^2 is 1 or a prime.  An
+n < 2^20 takes one such walk, to 2^10 at most.  A larger n takes two:
+one over the primes up to 2^10, then, only if the cofactor m is at
+least 1031^2 (1031 is the first prime past 2^10), one over the table of
+m's own bound.  That is exact for the same reason: every prime below
+1031 has been divided out, or the walk stopped at a prime p with
+p^2 > m, so an m below 1031^2 is 1 or a prime.  So 2^39 or 3^25 builds
+no table above 2^10, where one walk to 2^20 would sieve to 2^20 first.
+A prime q < 2^20 costs one gcd, and a larger prime below 1621^2 two:
+1621 is the first prime of the second group.  It accepts 1 <= n < 2^40
+and raises ValueError beyond, before any sieve or product is built, so
+a q that large is refused by make_weil_quartic.  squarefree_part does
+not trial-divide: it takes gcds of n against the product of the primes
+up to the cube root of |n| (a primorial, cached per bit length of |n|),
+and accepts 0 < |n| < 2^44.  disc(f+) <= 16q in the Weil region, so
+every class make_weil_quartic accepts builds a record.  Of the command line
 subcommands, only ``enumerate`` refuses q above a safe bound.
 """
 
@@ -153,6 +160,10 @@ _GROUP = 8
 # k -> factorize's (primes, runs, groups) up to the bound 2^k that trial_limit gives the
 # n of bit length 2k - 1 and 2k, one entry per bound; None until first used
 _TRIAL_TABLES: list = [None] * 21
+# factorize's first walk over an n >= 2^20 takes the primes up to 2^10; 1031 is the
+# first prime past them, so a cofactor below 1031^2 is then 1 or a prime
+_FIRST_STAGE_BITS = 10
+_FIRST_STAGE_SQUARE = 1031**2
 
 
 def _trial_tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -172,42 +183,56 @@ def _trial_tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation of 1 <= n < 2^40 as {prime: exponent}, primes ascending.
 
-    Blocked trial division: the primes up to ``trial_limit(n)`` are taken
-    in runs of _BLOCK, and the runs in groups of _GROUP; the primes and
-    both products are one entry of _TRIAL_TABLES, looked up by the
-    bound's exponent.  Let m be the part of n not yet factored.  At the
-    start of a group, one gcd of m against the group's product skips all
-    of its runs when it is 1; otherwise m is divided by a run's primes
-    only when gcd(m, product of the run) > 1.  A gcd of 1 shows that m
-    has no prime factor among the primes it covers, so skipping them
-    loses none.  The walk stops at the first run or group whose first
-    prime p has p^2 > m.  Every prime below p is divided out by then, so
-    m < p^2 is 1 or a prime; past the last run every prime up to the
-    limit, which exceeds sqrt(n), is divided out, so the same holds.
+    Blocked trial division: the primes of one entry of _TRIAL_TABLES are
+    taken in runs of _BLOCK, and the runs in groups of _GROUP.  Let m be
+    the part of n not yet factored.  At the start of a group, one gcd of
+    m against the group's product skips all of its runs when it is 1;
+    otherwise m is divided by a run's primes only when gcd(m, product of
+    the run) > 1.  A gcd of 1 shows that m has no prime factor among the
+    primes it covers, so skipping them loses none.  The walk stops at
+    the first run or group whose first prime p has p^2 > m.  Every prime
+    below p is divided out by then, so m < p^2 is 1 or a prime.
+
+    An n < 2^20 takes one walk, over the table of ``trial_limit(n)`` <=
+    2^10, past whose last run every prime up to that bound, which
+    exceeds sqrt(n), is divided out.  A larger n is first walked over
+    the primes up to 2^10 only.  The m left then is 1 or a prime if it
+    is below _FIRST_STAGE_SQUARE = 1031^2, 1031 being the first prime
+    past 2^10: either the walk stopped at a prime p <= 1021 with
+    p^2 > m, or no prime below 1031 divides m.  Otherwise a second walk
+    goes over the table of trial_limit(m) > sqrt(m).  So an n made of
+    small primes, such as 2^39, builds no table above 2^10.
     """
     # the range check and bound of trial_limit, inline: this runs once per prime-power test
     bits = n.bit_length()
     if n < 1 or bits > 40:
         _require_below(n, 40)  # raises
     k = -(-bits // 2)
-    primes, runs, groups = _TRIAL_TABLES[k] or _trial_tables(k)
+    if k > _FIRST_STAGE_BITS:
+        k = _FIRST_STAGE_BITS
     factors: dict[int, int] = {}
     m = n
-    run = 0
-    while run < len(runs):
-        start = run * _BLOCK
-        first = primes[start]
-        if first * first > m:
+    while True:
+        primes, runs, groups = _TRIAL_TABLES[k] or _trial_tables(k)
+        run = 0
+        while run < len(runs):
+            start = run * _BLOCK
+            first = primes[start]
+            if first * first > m:
+                break
+            if run % _GROUP == 0 and gcd(m, groups[run // _GROUP]) == 1:
+                run += _GROUP
+                continue
+            if gcd(m, runs[run]) > 1:
+                for p in primes[start : start + _BLOCK]:
+                    while m % p == 0:
+                        factors[p] = factors.get(p, 0) + 1
+                        m //= p
+            run += 1
+        # an n < 2^20 ends here after one walk, as m < 2^20 < 1031^2
+        if m < _FIRST_STAGE_SQUARE or k > _FIRST_STAGE_BITS:
             break
-        if run % _GROUP == 0 and gcd(m, groups[run // _GROUP]) == 1:
-            run += _GROUP
-            continue
-        if gcd(m, runs[run]) > 1:
-            for p in primes[start : start + _BLOCK]:
-                while m % p == 0:
-                    factors[p] = factors.get(p, 0) + 1
-                    m //= p
-        run += 1
+        k = -(-m.bit_length() // 2)
     if m > 1:
         factors[m] = 1
     return factors

@@ -246,7 +246,7 @@ def test_enumerate_failing_partway_exits_2_and_writes_no_file(tmp_path, capsys, 
             raise InternalInvariantError(f"q={q}")
         return records_for_q(q)
 
-    monkeypatch.setattr("weillab.cli.records_for_q", fail_above_3)
+    monkeypatch.setattr("weillab.records.records_for_q", fail_above_3)
     target = tmp_path / "classes.csv"
     code, out, err = run_cli(
         capsys, "enumerate", "--q-min", "2", "--q-max", "7", "--format", "csv", "--output", str(target)
@@ -263,7 +263,7 @@ def test_enumerate_failing_partway_keeps_an_existing_output_file(tmp_path, capsy
             raise failure(f"q={q}")
         return records_for_q(q)
 
-    monkeypatch.setattr("weillab.cli.records_for_q", fail_above_3)
+    monkeypatch.setattr("weillab.records.records_for_q", fail_above_3)
     target = tmp_path / "classes.csv"
     target.write_bytes(b"old bytes\n")
     argv = ("enumerate", "--q-min", "2", "--q-max", "7", "--format", "csv", "--output", str(target))
@@ -339,7 +339,7 @@ def test_enumerate_refuses_an_unwritable_output_before_any_work(tmp_path, capsys
     def refuse(q):
         raise AssertionError(f"q={q} was enumerated before --output was checked")
 
-    monkeypatch.setattr("weillab.cli.records_for_q", refuse)
+    monkeypatch.setattr("weillab.records.records_for_q", refuse)
     monkeypatch.chdir(tmp_path)  # where a path made from "" would land
     target = tmp_path / "classes.csv"
     path = {
@@ -393,8 +393,8 @@ def test_enumerate_text_caches_hold_a_few_dozen_entries(tmp_path, capsys, monkey
     member_cells: dict = {}
     monkeypatch.setattr(records, "_MEMBER_CELLS", member_cells)
     written: list[ClassRecord] = []
-    pair_lines = cli.pair_lines
-    monkeypatch.setattr(cli, "pair_lines", lambda built, fmt: written.extend(with_mirrors(built)) or pair_lines(built, fmt))
+    pair_lines = records.pair_lines
+    monkeypatch.setattr(records, "pair_lines", lambda built, fmt: written.extend(with_mirrors(built)) or pair_lines(built, fmt))
     target = str(tmp_path / f"classes.{fmt}")
     assert main(["enumerate", "--q-min", "2", "--q-max", "10000", "--format", fmt, "--output", target]) == 0
     capsys.readouterr()
@@ -877,10 +877,37 @@ def test_usage_error_exits_1():
     assert result.returncode == 1
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def test_importing_the_cli_loads_no_tempfile():
     # only enumerate --format table spools to a temporary file, and tempfile brings random,
     # shutil, bz2 and lzma with it; -S keeps the site module's imports out of the check
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import weillab.cli; print('tempfile' in sys.modules)"
+    code = f"import sys; sys.path.insert(0, {SRC!r}); import weillab.cli; print('tempfile' in sys.modules)"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize(
+    ("argv", "unloaded"),
+    [
+        (
+            ["label", "--encode", "997,30,-50"],
+            ["weillab.records", "weillab.two_adic", "weillab.verdict", "weillab.bounds", "csv", "json"],
+        ),
+        (["bounds", "--q", "8", "--family", "nonpp", "--b", "-7"], ["weillab.records", "weillab.two_adic", "weillab.verdict"]),
+        (["classify", "--q", "7", "--a", "0", "--b", "-12"], ["weillab.bounds"]),
+        (["enumerate", "--q-min", "2", "--q-max", "50", "--format", "csv"], ["weillab.bounds"]),
+    ],
+    ids=["label", "bounds", "classify", "enumerate"],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, unloaded):
+    # a cold process pays to load and compile each module it imports; the last line of
+    # stdout lists the modules of `unloaded` that the run loaded anyway
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import weillab.cli; "
+        f"code = weillab.cli.main({argv!r}); print(code, [name for name in {unloaded!r} if name in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"

@@ -19,6 +19,7 @@ from weillab import (
     render_label,
     squarefree_part,
 )
+from weillab import core
 from weillab.core import _encode_coefficient, ceil_sqrt, factorize, label_coefficients, prime_power_decomposition, weil_validity_failure
 
 from oracles import (
@@ -251,10 +252,34 @@ def test_factorize_matches_oracle(n):
         1048573**2,  # 1048573 < 2^20 is prime
         1048571 * 1048573,  # both prime factors near 2^20: the walk reaches the last blocks below 2^20
         2**40 - 1,
+        1021 * 1048573,  # the first walk, to 2^10, leaves the prime 1048573 < 1031^2
+        1031**2,  # 1031 is the first prime past 2^10, so only the second walk finds it
     ],
 )
 def test_factorize_at_block_edges_and_near_the_ceiling(n):
     check_factorize(n)
+
+
+@pytest.mark.parametrize(
+    ("n", "asked"),
+    [
+        (2**39, [10]),
+        (3**25, [10]),
+        (1021 * 1048573, [10]),
+        (2**20 - 1, [10]),  # below 2^20: one walk, to trial_limit(n) = 2^10
+        (1031**2, [10, 11]),
+        (1048571 * 1048573, [10, 20]),
+    ],
+)
+def test_factorize_builds_a_table_above_2_to_10_only_for_a_cofactor_that_needs_it(monkeypatch, n, asked):
+    # an n >= 2^20 is first stripped of the primes up to 2^10; a larger table is built
+    # only for a cofactor m >= 1031^2, and then to trial_limit(m)
+    build = core._trial_tables
+    bounds: list[int] = []
+    monkeypatch.setattr(core, "_TRIAL_TABLES", [None] * len(core._TRIAL_TABLES))
+    monkeypatch.setattr(core, "_trial_tables", lambda k: bounds.append(k) or build(k))
+    check_factorize(n)
+    assert bounds == asked
 
 
 # ---------------------------------------------------------------------------
