@@ -6,84 +6,37 @@ decides whether a class contains a surface with a degree-4 polarisation
 2-adic field data driving that decision, and gives point-count
 intervals.  All computation is exact integer arithmetic.
 
-``import weillab`` loads the submodules ``core`` and ``classify``.  The
-other public names, and the submodules ``records``, ``bounds``,
-``two_adic``, ``verdict`` and ``cli``, are loaded on first use and then
-kept in the package namespace, so a command line run loads only the
-modules its subcommand needs.  ``weillab.classify`` is the function,
-not its submodule.
+Each public name is written once, in ``_PUBLIC``, beside the submodule
+that defines it; ``__all__`` is their sorted union.  ``import weillab``
+imports ``core`` and ``classify`` and binds their names.  The other
+names, and the submodules ``records``, ``bounds``, ``two_adic``,
+``verdict`` and ``cli``, are loaded on first use (PEP 562) and then kept
+in the package namespace, so a command line run loads only the modules
+its subcommand needs.  ``weillab.classify`` is the function, not its
+submodule.
 """
 
-from .classify import (
-    ClassKind,
-    Family,
-    PRankClass,
-    WrongKind,
-    classify,
-    enumerate_classes,
-    p_rank_class,
-)
-from .core import (
-    InternalInvariantError,
-    MalformedLabel,
-    NotPrimePower,
-    NotWeil,
-    WeilQuartic,
-    floor_2sqrt,
-    fplus_discriminant,
-    is_irreducible_over_Q,
-    make_weil_quartic,
-    parse_label,
-    render_label,
-    squarefree_part,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundFamily",
-    "ClassKind",
-    "ClassRecord",
-    "ConjugationTag",
-    "DegenerateDiscriminant",
-    "Family",
-    "Genus3Verdict",
-    "InternalInvariantError",
-    "MalformedLabel",
-    "NotPrimePower",
-    "NotWeil",
-    "PRankClass",
-    "PointBounds",
-    "SPECIAL_Q3_WITNESS",
-    "Shape2",
-    "Split2",
-    "TwoAdicData",
-    "WeilQuartic",
-    "WrongKind",
-    "build_record",
-    "classify",
-    "curve_shape_constraints",
-    "enumerate_classes",
-    "floor_2sqrt",
-    "fplus_discriminant",
-    "genus3_verdict",
-    "genus_bounds_on_surface",
-    "is_irreducible_over_Q",
-    "make_weil_quartic",
-    "non_pp_bounds",
-    "p_rank_class",
-    "parse_label",
-    "records_for_q",
-    "render_label",
-    "serre_weil_interval",
-    "squarefree_part",
-    "two_adic_data",
-    "weil_restriction_bounds",
-    "with_mirrors",
-]
-
-# the submodules loaded on first use, each with the public names it defines
-_LAZY_MODULES = {
+# submodule -> the public names it defines; the first two are imported with the package
+_PUBLIC = {
+    "core": (
+        "InternalInvariantError",
+        "MalformedLabel",
+        "NotPrimePower",
+        "NotWeil",
+        "WeilQuartic",
+        "floor_2sqrt",
+        "fplus_discriminant",
+        "is_irreducible_over_Q",
+        "make_weil_quartic",
+        "parse_label",
+        "render_label",
+        "squarefree_part",
+    ),
+    "classify": ("ClassKind", "Family", "PRankClass", "WrongKind", "classify", "enumerate_classes", "p_rank_class"),
     "bounds": (
         "BoundFamily",
         "PointBounds",
@@ -98,17 +51,22 @@ _LAZY_MODULES = {
     "cli": (),
 }
 # public name -> its submodule
-_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_HOME)
+
+# binding classify's names after its import replaces the submodule with the function
+for _module in ("core", "classify"):
+    _namespace = vars(_import_module(f"{__name__}.{_module}"))
+    globals().update((name, _namespace[name]) for name in _PUBLIC[_module])
+del _module, _namespace
 
 
 def __getattr__(name: str):
     """A lazily loaded submodule or public name, kept in the namespace once loaded (PEP 562)."""
-    from importlib import import_module
-
-    if name in _LAZY_MODULES:
-        value = import_module(f"{__name__}.{name}")
-    elif name in _LAZY_NAMES:
-        value = getattr(import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+    if name in _PUBLIC:
+        value = _import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -116,4 +74,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})
+    return sorted({*globals(), *_PUBLIC, *_HOME})

@@ -32,14 +32,16 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
+from itertools import chain
 from operator import attrgetter
 
 from .classify import Family
 from .core import InternalInvariantError, label_coefficients, make_weil_quartic, prime_powers_in_range, render_label
 
 SAFE_BOUND = 10**6
-# the summary's tally key of a record, and its a, which is nonzero for a record that stands for a pair
-_KIND_GENUS3 = attrgetter("class_kind", "genus3_exists")
+# the summary's two tally keys of a record, and its a, which is nonzero for a record that stands for a pair
+_KIND = attrgetter("class_kind")
+_GENUS3 = attrgetter("genus3_exists")
 _A = attrgetter("a")
 # bounds --family -> (its calculator in weillab.bounds, the flags it takes after --q, in
 # argument order); nonpp may omit --b
@@ -205,9 +207,10 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
         raise ValueError(f"q='{q_max}' exceeds the safe bound {SAFE_BOUND}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    # (class_kind, genus3_exists) -> members: one per record, and one more per record with
-    # a != 0, which stands for a pair
-    tally: Counter = Counter()
+    # class_kind -> members and genus3_exists -> members: one per record, and one more per
+    # record with a != 0, which stands for a pair
+    kinds: Counter = Counter()
+    genus3: Counter = Counter()
     table = args.format == "table"
     # each q's records are written and dropped before the next q; the table format
     # spools each q's rows, their cells tab-joined, and keeps the widest cell of each
@@ -234,19 +237,14 @@ def _run_enumerate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOB
                 spool.writelines("\t".join(cells) + "\n" for cells in rows)
             else:
                 sink.write("".join(pair_lines(records, args.format)))
-            tally.update(map(_KIND_GENUS3, records))
-            tally.update(map(_KIND_GENUS3, filter(_A, records)))
+            kinds.update(map(_KIND, chain(records, filter(_A, records))))
+            genus3.update(map(_GENUS3, chain(records, filter(_A, records))))
         if table:
             widths = [len(cell) for cell in widest]
             spool.seek(0)
             sink.write(table_line(TABLE_COLUMNS, widths))
             sink.writelines(table_line(line[:-1].split("\t"), widths) for line in spool)
 
-    kinds: Counter = Counter()
-    genus3: Counter = Counter()
-    for (kind, genus3_exists), count in tally.items():
-        kinds[kind] += count
-        genus3[genus3_exists] += count
     summary = _summary_line(q_min, q_max, kinds, genus3)
     if table and args.output is None:
         out.write(summary + "\n")

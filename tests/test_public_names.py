@@ -11,6 +11,7 @@ interpreter, where no other test has loaded a submodule yet.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -29,6 +30,9 @@ WORKER_PATH = ROOT / "bench" / "worker.py"
 # the submodules that define the names of __all__, and those loaded on first use
 DEFINING = ("bounds", "classify", "core", "records", "two_adic", "verdict")
 LAZY_SUBMODULES = ("records", "bounds", "two_adic", "verdict", "cli")
+# sha256 of "<submodule>.<name>\n" over the sorted (submodule, name) pairs of the public names,
+# pinned from __all__ and each name's defining submodule when the table replaced the literal __all__
+PUBLIC_SURFACE_SHA256 = "c1772f1193243fcbe86dec73e787e56d89372793c6ac8dafe1ec141e4e185399"
 
 
 def _fresh(code: str):
@@ -55,6 +59,15 @@ def test_every_public_name_resolves():
     missing = [name for name in weillab.__all__ if not hasattr(weillab, name)]
     assert missing == []
     assert len(set(weillab.__all__)) == len(weillab.__all__)
+
+
+def test_the_public_table_lists_the_pinned_names_each_in_one_entry():
+    # __all__ is derived from the table, so only this pin notices a name dropped or moved
+    pairs = sorted((module, name) for module, names in weillab._PUBLIC.items() for name in names)
+    text = "".join(f"{module}.{name}\n" for module, name in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == PUBLIC_SURFACE_SHA256
+    names = [name for _, name in pairs]
+    assert len(names) == len(set(names)) == 39
 
 
 def test_importing_the_package_loads_only_core_and_classify():
