@@ -91,15 +91,8 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     else:
         split2 = _split2_of(f, delta, d) if kind.is_irreducible_family else None
         key = (kind, split2, p == 2, a == 0)
-        lead, rest = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
+        lead, rest = _MEMBER_CELLS.get(key) or _MEMBER_CELLS.setdefault(key, _member_cells(f, kind))
     return ClassRecord._make((q, p, r, a, b, render_label(f), *lead, delta, c, d, *rest))
-
-
-def _filled_cells(key: tuple, f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
-    # the cells of a class key met for the first time, from its first member f; the
-    # builders read a warm key's cells with one _MEMBER_CELLS.get and call this on a miss
-    cells = _MEMBER_CELLS[key] = _member_cells(f, kind)
-    return cells
 
 
 def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
@@ -143,13 +136,13 @@ def records_for_q(q: int) -> list[ClassRecord]:
     :func:`build_record` builds their records, up to the first a > 0
     member.  The a > 0 members are all family A, share q, p and r and
     differ only in a, b and how 2 splits in K+, so one loop over them
-    builds their records as :func:`build_record` would build them from
-    what is derived once per q, the label prefix ``2.<q>.``, and once per
-    (q, splitting of 2), the class cells under :func:`build_record`'s
-    class key.  Per record what is left is the codes of a and b, delta =
-    a^2 - 4(b - 2q) = c^2 * d from the coefficients and one squarefree
-    decomposition, the splitting of 2 from d, with the member checks of
-    ``_split2_of``, and one tuple of the record's cells.
+    builds their records as :func:`build_record` would build them, with
+    the label prefix ``2.<q>.`` derived once per q.  Per record what is
+    left is the codes of a and b, delta = a^2 - 4(b - 2q) = c^2 * d from
+    the coefficients and one squarefree decomposition, the splitting of 2
+    from d, with the member checks of ``_split2_of``, the class cells read
+    under :func:`build_record`'s class key with its expression, and one
+    tuple of the record's cells.
     """
     classes = enumerate_classes(q)
     records = []
@@ -158,17 +151,12 @@ def records_for_q(q: int) -> list[ClassRecord]:
             break
         records.append(build_record(f, kind))
     prefix = f"2.{q}."
-    at_q = {}  # splitting of 2 in K+ -> the class cells of the a > 0 members at q
     for f, kind in classes[len(records) :]:
         _, p, r, a, b = f
         delta = a * a - 4 * (b - 2 * q)
         c, d = squarefree_part(delta)
-        split2 = _split2_of(f, delta, d)
-        cells = at_q.get(split2)
-        if cells is None:
-            key = (kind, split2, p == 2, False)
-            cells = at_q[split2] = _MEMBER_CELLS.get(key) or _filled_cells(key, f, kind)
-        lead, rest = cells
+        key = (kind, _split2_of(f, delta, d), p == 2, False)
+        lead, rest = _MEMBER_CELLS.get(key) or _MEMBER_CELLS.setdefault(key, _member_cells(f, kind))
         label = f"{prefix}{_encode_coefficient(a)}_{_encode_coefficient(b)}"
         # ClassRecord._make without its Python frame and length check; tests/test_pairs.py
         # checks each such record against build_record's
@@ -210,8 +198,6 @@ def _cell(value: object, none: str = "", true: str = "true", false: str = "false
 # the cells a record's class decides, on either side of (fplus_disc, c, d)
 _LEAD = slice(FIELD_NAMES.index("class_kind"), FIELD_NAMES.index("fplus_disc"))
 _REST = slice(FIELD_NAMES.index("split2_Kplus"), None)
-_LEAD_FIELDS = FIELD_NAMES[_LEAD]
-_REST_FIELDS = FIELD_NAMES[_REST]
 
 
 def _run_text(names: tuple[str, ...], cells: tuple) -> tuple[str, str]:
@@ -226,7 +212,7 @@ def _class_text(lead: tuple, rest: tuple) -> tuple[tuple[str, str], tuple[str, s
     # ((csv lead, csv rest), (json lead, json rest)) of a record's class-decided runs,
     # one lookup per record that csv_row or to_json_line writes, and per (q, splitting
     # of 2 in K+) in pair_lines
-    return tuple(zip(_run_text(_LEAD_FIELDS, lead), _run_text(_REST_FIELDS, rest)))
+    return tuple(zip(_run_text(FIELD_NAMES[_LEAD], lead), _run_text(FIELD_NAMES[_REST], rest)))
 
 
 def csv_row(record: ClassRecord) -> str:

@@ -54,6 +54,13 @@ WITNESSES = (
     Witness("SPECIAL_Q3_WITNESS", 3, (0, 0, 0), (0, 2, 0, 1, 0), (0, -6)),
     # family A, 2 split in K+ (d = 29), from a seeded random search over forms mod 23
     Witness("q23_split", 23, (22, 20, 22), (2, 9, 17, 2, 22), (-4, -7)),
+    # family B with b = 2 - 2q, 2 ramified in K+; the first hit of the exhaustive q = 3 search
+    Witness("q3_b2m2q", 3, (0, 1, 0), (0, 1, 2, 2, 0), (0, -4)),
+    # family A, 2 ramified in K+, a != 0 and a = 0, and 2 split with a = 0; each the first
+    # hit of search.py's draws from random.Random(p)
+    Witness("q5_ramified", 5, (0, 0, 0), (2, 4, 4, 3, 2), (-2, -1)),
+    Witness("q13_ramified", 13, (12, 8, 10), (2, 0, 0, 7, 10), (0, -13)),
+    Witness("q19_split", 19, (9, 1, 3), (14, 4, 12, 14, 6), (0, -19)),
 )
 
 
