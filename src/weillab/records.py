@@ -15,12 +15,11 @@ import json
 from functools import cache
 from typing import NamedTuple
 
-from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class
+from .classify import ClassKind, Family, PRankClass, classify, enumerate_classes, p_rank_class, _IRREDUCIBLE_FAMILIES
 from .core import (
     InternalInvariantError,
     WeilQuartic,
     is_irreducible_over_Q,
-    render_label,
     squarefree_part,
     _encode_coefficient,
     _irreducible,
@@ -56,8 +55,8 @@ class ClassRecord(NamedTuple):
 FIELD_NAMES = ClassRecord._fields
 
 
-# the class_kind cell of an Outside record
-_OUTSIDE = Family.OUTSIDE.value
+# Family.OUTSIDE, read once: an Enum member's lookup on its class is a Python call
+_OUTSIDE = Family.OUTSIDE
 
 # (kind, splitting of 2 in K+, p == 2, a == 0) of a family member -> its record cells
 # before and after (fplus_disc, c, d); kinds come from classify, which meets 14 keys
@@ -68,7 +67,9 @@ _MEMBER_CELLS: dict[tuple, tuple[tuple, tuple]] = {}
 def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     """Full record for one class; kind is classified when not supplied.
 
-    Per record only the head is computed: q, p, r, a, b, label and the
+    This is the one builder of a record: the single-class queries call
+    it, and so does :func:`records_for_q` for each member at a q.  Per
+    record only the head is computed: q, p, r, a, b, label and the
     discriminant delta of f+ as c^2 * d, from its one squarefree
     decomposition, for every kind.  For a family A or B member, delta
     and d check the member and d mod 8 splits 2 in K+.  The other cells
@@ -85,14 +86,18 @@ def build_record(f: WeilQuartic, kind: ClassKind | None = None) -> ClassRecord:
     q, p, r, a, b = f
     delta = a * a - 4 * (b - 2 * q)
     c, d = squarefree_part(delta) if delta else (None, None)
-    if kind.family is Family.OUTSIDE:
-        lead = (_OUTSIDE, None, None, _irreducible(q, a, b, d is None or d == 1))
+    family = kind.family
+    if family is _OUTSIDE:
+        lead = (_OUTSIDE.value, None, None, _irreducible(q, a, b, d is None or d == 1))
         rest = (None,) * 7 + (f"reason={kind.reason}",)  # no 2-adic data and no verdict
     else:
-        split2 = _split2_of(f, delta, d) if kind.is_irreducible_family else None
+        split2 = _split2_of(f, delta, d) if family in _IRREDUCIBLE_FAMILIES else None
         key = (kind, split2, p == 2, a == 0)
         lead, rest = _MEMBER_CELLS.get(key) or _MEMBER_CELLS.setdefault(key, _member_cells(f, kind))
-    return ClassRecord._make((q, p, r, a, b, render_label(f), *lead, delta, c, d, *rest))
+    label = f"2.{q}.{_encode_coefficient(a)}_{_encode_coefficient(b)}"
+    # ClassRecord._make without its Python frame and length check: the 21 cells are
+    # 6 + 4 + 3 + 8 by construction (head, lead, (fplus_disc, c, d), rest)
+    return tuple.__new__(ClassRecord, (q, p, r, a, b, label, *lead, delta, c, d, *rest))
 
 
 def _member_cells(f: WeilQuartic, kind: ClassKind) -> tuple[tuple, tuple]:
@@ -130,38 +135,11 @@ def records_for_q(q: int) -> list[ClassRecord]:
     These are the members :func:`~weillab.classify.enumerate_classes`
     lists, and each record with a != 0 stands for its pair of quadratic
     twists (+-a, b), by the proof there.  :func:`with_mirrors` gives every
-    member's record; :func:`pair_lines` writes them all.
-
-    The a = 0 members, one to four of varied kinds, come first, and
-    :func:`build_record` builds their records, up to the first a > 0
-    member.  The a > 0 members are all family A, share q, p and r and
-    differ only in a, b and how 2 splits in K+, so one loop over them
-    builds their records as :func:`build_record` would build them, with
-    the label prefix ``2.<q>.`` derived once per q.  Per record what is
-    left is the codes of a and b, delta = a^2 - 4(b - 2q) = c^2 * d from
-    the coefficients and one squarefree decomposition, the splitting of 2
-    from d, with the member checks of ``_split2_of``, the class cells read
-    under :func:`build_record`'s class key with its expression, and one
-    tuple of the record's cells.
+    member's record; :func:`pair_lines` writes them all.  Each record is
+    :func:`build_record`'s, from the member and the kind that
+    ``enumerate_classes`` gives it.
     """
-    classes = enumerate_classes(q)
-    records = []
-    for f, kind in classes:
-        if f.a:
-            break
-        records.append(build_record(f, kind))
-    prefix = f"2.{q}."
-    for f, kind in classes[len(records) :]:
-        _, p, r, a, b = f
-        delta = a * a - 4 * (b - 2 * q)
-        c, d = squarefree_part(delta)
-        key = (kind, _split2_of(f, delta, d), p == 2, False)
-        lead, rest = _MEMBER_CELLS.get(key) or _MEMBER_CELLS.setdefault(key, _member_cells(f, kind))
-        label = f"{prefix}{_encode_coefficient(a)}_{_encode_coefficient(b)}"
-        # ClassRecord._make without its Python frame and length check; tests/test_pairs.py
-        # checks each such record against build_record's
-        records.append(tuple.__new__(ClassRecord, (q, p, r, a, b, label, *lead, delta, c, d, *rest)))
-    return records
+    return [build_record(f, kind) for f, kind in enumerate_classes(q)]
 
 
 def with_mirrors(records: list[ClassRecord]) -> list[ClassRecord]:
@@ -259,7 +237,7 @@ def pair_lines(records: list[ClassRecord], fmt: str) -> list[str]:
     ``fmt`` raises ValueError.  One pass over the records writes each
     line.  A record with a = 0 has no mirror and is written by
     :func:`csv_row` or :func:`to_json_line`.  The a > 0 records come
-    last, share q, p and r, and, as ``records_for_q`` builds them, their
+    last, share q, p and r, and, as :func:`build_record` keys them, their
     class cells once per splitting of 2 in K+, so the text of the q head
     and the label prefix is rendered once per q, from the last record,
     and that of the class cells once per (q, splitting of 2), at the

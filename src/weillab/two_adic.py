@@ -80,6 +80,11 @@ class TwoAdicData(NamedTuple):
     shape2_K: Shape2
 
 
+# the members, read once: an Enum member's lookup on its class is a Python call, and
+# _split2_of runs once per record
+_RAMIFIED, _SPLIT, _INERT = Split2.RAMIFIED, Split2.SPLIT, Split2.INERT
+
+
 def _split2_of(f: WeilQuartic, delta: int, d: int | None) -> Split2:
     """The splitting of 2 in K+ for delta = disc(f+) = c^2 * d; raises DegenerateDiscriminant unless delta > 0 and d != 1."""
     if delta <= 0:
@@ -87,8 +92,8 @@ def _split2_of(f: WeilQuartic, delta: int, d: int | None) -> Split2:
     if d == 1:
         raise DegenerateDiscriminant(f"real quadratic factor of {f} has square discriminant {delta}")
     if d % 4 != 1:
-        return Split2.RAMIFIED
-    return Split2.SPLIT if d % 8 == 1 else Split2.INERT
+        return _RAMIFIED
+    return _SPLIT if d % 8 == 1 else _INERT
 
 
 def _delta_split2(f: WeilQuartic) -> tuple[int, Split2]:

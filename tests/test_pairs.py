@@ -163,8 +163,8 @@ def test_only_members_with_a_at_least_0_are_built(monkeypatch, q):
     monkeypatch.setattr(CLASSIFY, "make_weil_quartic", lambda *qab: quartics.append(qab[1]) or make_weil_quartic(*qab))
     monkeypatch.setattr(RECORDS, "build_record", lambda f, kind: records.append(f.a) or build_record(f, kind))
     built = records_for_q(q)
-    # build_record runs once per a = 0 entry; check_pairs compares the a > 0 records with its own
-    assert records == [record.a for record in built if record.a == 0] and records
+    # build_record runs once per entry, so once per member with a >= 0 and never for a < 0
+    assert records == [record.a for record in built] and records
     assert quartics == [0] * len(zero_candidates(q))
     assert records.count(0) == len(zero_candidates(q)) - (q == 25)  # (0, -25) is Outside: 5 is 2 mod 3
     assert len(with_mirrors(built)) == 2 * len(built) - records.count(0)
